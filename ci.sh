@@ -55,6 +55,9 @@ echo "fleet wall-clock: ${fleet_ms}ms (budget 60000ms)"
     exit 1
 }
 
+echo "==> cloudbench self-tests (metric names and units, output checks, seed agreement)"
+cargo test -q --release --offline --manifest-path cloudbench/Cargo.toml
+
 echo "==> repro fleet-scale smoke (--fast --clients 100000 ratios)"
 cargo run --release -p cloudchar-bench --bin repro -- --fast --clients 100000 ratios > /dev/null
 

@@ -188,7 +188,7 @@ pub struct QueryResult {
     /// Pages dirtied by the query.
     pub dirty_pages: Vec<PageRef>,
     /// Tables the query depends on (for query-cache invalidation).
-    pub tables: Vec<TableId>,
+    pub tables: &'static [TableId],
 }
 
 /// Average row footprints used for page math (bytes).
@@ -355,7 +355,7 @@ impl Database {
         let mut r = QueryResult::default();
         match q {
             Query::SelectCategories => {
-                r.tables = vec![TableId::Categories];
+                r.tables = &[TableId::Categories];
                 r.rows = u64::from(self.scale.categories);
                 r.result_bytes = r.rows * 40;
                 r.pages.push(PageRef {
@@ -364,7 +364,7 @@ impl Database {
                 });
             }
             Query::SelectRegions => {
-                r.tables = vec![TableId::Regions];
+                r.tables = &[TableId::Regions];
                 r.rows = u64::from(self.scale.regions);
                 r.result_bytes = r.rows * 30;
                 r.pages.push(PageRef {
@@ -373,22 +373,19 @@ impl Database {
                 });
             }
             Query::SearchItemsByCategory { category, page } => {
-                r.tables = vec![TableId::Items];
+                r.tables = &[TableId::Items];
                 let cat = usize::from(category.0).min(self.items_by_category.len() - 1);
                 let ids = &self.items_by_category[cat];
-                let start = page as usize * ITEMS_PER_PAGE;
-                let slice: Vec<ItemId> = ids
-                    .iter()
-                    .skip(start)
-                    .take(ITEMS_PER_PAGE)
-                    .copied()
-                    .collect();
+                let shown = ids
+                    .chunks(ITEMS_PER_PAGE)
+                    .nth(page as usize)
+                    .unwrap_or_default();
                 Self::index_pages(TableId::Items, u64::from(category.0), &mut r.pages);
-                for id in &slice {
+                for id in shown {
                     r.pages
                         .push(Self::data_page(TableId::Items, u64::from(id.0)));
                 }
-                r.rows = slice.len() as u64;
+                r.rows = shown.len() as u64;
                 r.result_bytes = 120 + r.rows * 32;
             }
             Query::SearchItemsByRegion {
@@ -396,7 +393,7 @@ impl Database {
                 region,
                 page,
             } => {
-                r.tables = vec![TableId::Items, TableId::Users];
+                r.tables = &[TableId::Items, TableId::Users];
                 let cat = usize::from(category.0).min(self.items_by_category.len() - 1);
                 let ids = &self.items_by_category[cat];
                 // Join through sellers' region: scan the category slice,
@@ -427,7 +424,7 @@ impl Database {
                 r.cpu_cycles += examined as f64 * cost::PER_ROW * 0.4;
             }
             Query::GetItem { item } => {
-                r.tables = vec![TableId::Items, TableId::Users];
+                r.tables = &[TableId::Items, TableId::Users];
                 let it = &self.items[item.0 as usize % self.items.len()];
                 r.pages
                     .push(Self::data_page(TableId::Items, u64::from(it.id.0)));
@@ -437,7 +434,7 @@ impl Database {
                 r.result_bytes = 110 + u64::from(it.description_len) / 6;
             }
             Query::GetUserInfo { user } => {
-                r.tables = vec![TableId::Users, TableId::Comments];
+                r.tables = &[TableId::Users, TableId::Comments];
                 let uid = user.0 as usize % self.users.len();
                 r.pages.push(Self::data_page(TableId::Users, uid as u64));
                 Self::index_pages(TableId::Comments, uid as u64, &mut r.pages);
@@ -459,17 +456,11 @@ impl Database {
                 r.result_bytes = 80 + r.rows * 40;
             }
             Query::GetBidHistory { item } => {
-                r.tables = vec![TableId::Bids, TableId::Users];
+                r.tables = &[TableId::Bids, TableId::Users];
                 let iid = ItemId(item.0 % self.items.len() as u32);
                 Self::index_pages(TableId::Bids, u64::from(iid.0), &mut r.pages);
-                let idxs: Vec<u32> = self
-                    .bids_by_item
-                    .get(&iid)
-                    .into_iter()
-                    .flatten()
-                    .copied()
-                    .collect();
-                for &bi in &idxs {
+                let idxs = self.bids_by_item.get(&iid).map_or(&[][..], Vec::as_slice);
+                for &bi in idxs {
                     r.pages.push(Self::data_page(TableId::Bids, u64::from(bi)));
                     let bidder = self.bids[bi as usize].user;
                     r.pages
@@ -479,14 +470,14 @@ impl Database {
                 r.result_bytes = 70 + r.rows * 28;
             }
             Query::GetMaxBid { item } => {
-                r.tables = vec![TableId::Items];
+                r.tables = &[TableId::Items];
                 let iid = item.0 as usize % self.items.len();
                 r.pages.push(Self::data_page(TableId::Items, iid as u64));
                 r.rows = 1;
                 r.result_bytes = 40;
             }
             Query::AuthUser { user } => {
-                r.tables = vec![TableId::Users];
+                r.tables = &[TableId::Users];
                 let uid = user.0 as usize % self.users.len();
                 Self::index_pages(TableId::Users, uid as u64, &mut r.pages);
                 r.pages.push(Self::data_page(TableId::Users, uid as u64));
@@ -494,7 +485,7 @@ impl Database {
                 r.result_bytes = 50;
             }
             Query::AboutMe { user } => {
-                r.tables = vec![
+                r.tables = &[
                     TableId::Users,
                     TableId::Bids,
                     TableId::Items,
@@ -540,7 +531,7 @@ impl Database {
                 r.result_bytes = 120 + rows * 35;
             }
             Query::RegisterUser { region } => {
-                r.tables = vec![TableId::Users];
+                r.tables = &[TableId::Users];
                 let id = UserId(self.users.len() as u32);
                 self.users.push(User {
                     id,
@@ -560,7 +551,7 @@ impl Database {
                 item,
                 increment,
             } => {
-                r.tables = vec![TableId::Bids, TableId::Items];
+                r.tables = &[TableId::Bids, TableId::Items];
                 let iid = (item.0 as usize) % self.items.len();
                 let item_page = Self::data_page(TableId::Items, iid as u64);
                 r.pages.push(item_page);
@@ -587,7 +578,7 @@ impl Database {
                 r.result_bytes = 50;
             }
             Query::StoreComment { from, to, item } => {
-                r.tables = vec![TableId::Comments, TableId::Users];
+                r.tables = &[TableId::Comments, TableId::Users];
                 let to = UserId(to.0 % self.users.len() as u32);
                 let user_page = Self::data_page(TableId::Users, u64::from(to.0));
                 r.pages.push(user_page);
@@ -607,7 +598,7 @@ impl Database {
                 r.result_bytes = 50;
             }
             Query::StoreBuyNow { buyer, item } => {
-                r.tables = vec![TableId::BuyNow, TableId::Items];
+                r.tables = &[TableId::BuyNow, TableId::Items];
                 let iid = (item.0 as usize) % self.items.len();
                 let item_page = Self::data_page(TableId::Items, iid as u64);
                 r.pages.push(item_page);
@@ -799,8 +790,8 @@ impl MySqlServer {
             }
         }
         if q.is_write() {
-            for t in &result.tables {
-                self.cache.invalidate(*t);
+            for &t in result.tables {
+                self.cache.invalidate(t);
             }
             // Redo/binlog: group-committed; accumulate and flush in
             // `log_flush`, but small synchronous record now.
@@ -815,7 +806,7 @@ impl MySqlServer {
             }
         } else if self.config.query_cache_bytes > 0 {
             if let Some(key) = q.cache_key() {
-                self.cache.insert(key, result.result_bytes, &result.tables);
+                self.cache.insert(key, result.result_bytes, result.tables);
             }
         }
 

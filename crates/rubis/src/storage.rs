@@ -6,8 +6,8 @@
 //! query cache. Both are modelled here at page granularity.
 
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// InnoDB default page size.
 pub const PAGE_BYTES: u64 = 16 * 1024;
@@ -70,32 +70,76 @@ pub enum Access {
     MissDirtyEvict,
 }
 
+/// Multiplicative hasher for the pool's and cache's keys: a fixed
+/// function (no per-process seed) that costs one multiply per 8-byte
+/// word. The keys come from the simulation, never from outside input,
+/// and neither map's iteration order is observed.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let n = u64::from_ne_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
+type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+
+/// A buffer-pool frame on the pool's circular doubly-linked LRU list.
+#[derive(Debug)]
+struct Frame {
+    /// The resident page; `None` while the frame is free.
+    page: Option<PageRef>,
+    dirty: bool,
+    prev: u32,
+    next: u32,
+}
+
 /// A page-granularity LRU buffer pool with dirty-page tracking.
+///
+/// Every access is O(1). A map gives each resident page its frame; the
+/// frames, one per page of capacity, and the sentinel frame 0 form a
+/// circular list whose `next` from 0 is the least and `prev` the most
+/// recently used frame, free frames first. A hit relinks its frame as
+/// the most recently used; a miss takes over the least recently used
+/// frame, evicting the page it holds, if any.
 #[derive(Debug)]
 pub struct BufferPool {
     capacity_pages: usize,
-    /// page → dirty flag
-    resident: HashMap<PageRef, bool>,
-    /// LRU order, most recent at the back. May contain stale entries;
-    /// `pending` counts occurrences so only a page's *last* entry is
-    /// authoritative.
-    lru: VecDeque<PageRef>,
-    /// Occurrences of each page currently in `lru`.
-    pending: HashMap<PageRef, u32>,
+    frames: Vec<Frame>,
+    frame_of: KeyMap<PageRef, u32>,
     hits: u64,
     misses: u64,
     dirty_evictions: u64,
 }
 
 impl BufferPool {
-    /// Pool holding `capacity_bytes` of pages (min one page).
+    /// Pool holding `capacity_bytes` of pages (min one, max `u32::MAX - 1`).
     pub fn new(capacity_bytes: u64) -> Self {
-        let capacity_pages = (capacity_bytes / PAGE_BYTES).max(1) as usize;
+        let capacity_pages =
+            (capacity_bytes / PAGE_BYTES).clamp(1, u64::from(u32::MAX - 1)) as usize;
+        let n = capacity_pages as u32 + 1;
+        let frames = (0..n)
+            .map(|f| Frame {
+                page: None,
+                dirty: false,
+                prev: (f + n - 1) % n,
+                next: (f + 1) % n,
+            })
+            .collect();
         BufferPool {
             capacity_pages,
-            resident: HashMap::with_capacity(capacity_pages),
-            lru: VecDeque::with_capacity(capacity_pages),
-            pending: HashMap::with_capacity(capacity_pages),
+            frames,
+            frame_of: KeyMap::with_capacity_and_hasher(capacity_pages, Default::default()),
             hits: 0,
             misses: 0,
             dirty_evictions: 0,
@@ -109,46 +153,36 @@ impl BufferPool {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.frame_of.len()
     }
 
     /// Resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> u64 {
-        self.resident.len() as u64 * PAGE_BYTES
+        self.frame_of.len() as u64 * PAGE_BYTES
     }
 
     /// Access a page; `write` marks it dirty. Returns what happened.
     pub fn access(&mut self, page: PageRef, write: bool) -> Access {
-        match self.resident.entry(page) {
-            Entry::Occupied(mut e) => {
-                if write {
-                    *e.get_mut() = true;
-                }
-                self.hits += 1;
-                self.touch(page);
-                Access::Hit
-            }
-            Entry::Vacant(e) => {
-                e.insert(write);
-                self.misses += 1;
-                self.touch(page);
-                let mut dirty_evicted = false;
-                while self.resident.len() > self.capacity_pages {
-                    if let Some(victim_dirty) = self.evict_lru() {
-                        if victim_dirty {
-                            dirty_evicted = true;
-                            self.dirty_evictions += 1;
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                if dirty_evicted {
-                    Access::MissDirtyEvict
-                } else {
-                    Access::Miss
-                }
-            }
+        if let Some(&f) = self.frame_of.get(&page) {
+            self.hits += 1;
+            self.frames[f as usize].dirty |= write;
+            self.make_mru(f);
+            return Access::Hit;
+        }
+        self.misses += 1;
+        let f = self.frames[0].next;
+        let frame = &mut self.frames[f as usize];
+        let victim_dirty = std::mem::replace(&mut frame.dirty, write);
+        if let Some(victim) = frame.page.replace(page) {
+            self.frame_of.remove(&victim);
+        }
+        self.frame_of.insert(page, f);
+        self.make_mru(f);
+        if victim_dirty {
+            self.dirty_evictions += 1;
+            Access::MissDirtyEvict
+        } else {
+            Access::Miss
         }
     }
 
@@ -167,61 +201,34 @@ impl BufferPool {
         (self.hits, self.misses, self.dirty_evictions)
     }
 
-    fn touch(&mut self, page: PageRef) {
-        self.lru.push_back(page);
-        *self.pending.entry(page).or_insert(0) += 1;
-        // Compact the LRU deque when stale entries dominate: keep only
-        // the last occurrence of each resident page.
-        if self.lru.len() > self.capacity_pages.saturating_mul(4).max(64) {
-            let resident = &self.resident;
-            let mut last = HashMap::with_capacity(resident.len());
-            for (i, p) in self.lru.iter().enumerate() {
-                if resident.contains_key(p) {
-                    last.insert(*p, i);
-                }
-            }
-            let mut fresh: Vec<(usize, PageRef)> = last.into_iter().map(|(p, i)| (i, p)).collect();
-            fresh.sort_unstable_by_key(|(i, _)| *i);
-            self.lru = fresh.iter().map(|&(_, p)| p).collect();
-            self.pending = fresh.iter().map(|&(_, p)| (p, 1)).collect();
-        }
-    }
-
-    /// Evict the least-recently-used resident page. Returns the victim's
-    /// dirty flag, or `None` if nothing is evictable.
-    fn evict_lru(&mut self) -> Option<bool> {
-        while let Some(candidate) = self.lru.pop_front() {
-            let stale = match self.pending.get_mut(&candidate) {
-                Some(n) => {
-                    *n -= 1;
-                    let stale = *n > 0; // fresher occurrence exists later
-                    if *n == 0 {
-                        self.pending.remove(&candidate);
-                    }
-                    stale
-                }
-                None => true,
-            };
-            if stale {
-                continue;
-            }
-            if let Some(dirty) = self.resident.remove(&candidate) {
-                return Some(dirty);
-            }
-        }
-        None
+    /// Move frame `f` to the most recently used end of the LRU list.
+    fn make_mru(&mut self, f: u32) {
+        let Frame { prev, next, .. } = self.frames[f as usize];
+        self.frames[prev as usize].next = next;
+        self.frames[next as usize].prev = prev;
+        let mru = self.frames[0].prev;
+        self.frames[f as usize].prev = mru;
+        self.frames[f as usize].next = 0;
+        self.frames[mru as usize].next = f;
+        self.frames[0].prev = f;
     }
 }
 
+/// A cached SELECT: (insertion sequence, result bytes, table versions at insert).
+type Cached = (u64, u64, Vec<(TableId, u64)>);
+
 /// A MySQL-style query cache: SELECT results keyed by query identity,
-/// invalidated wholesale per table on any write to that table.
-#[derive(Debug)]
+/// invalidated wholesale per table on any write to that table. When
+/// full it evicts the oldest entries first.
+#[derive(Debug, Default)]
 pub struct QueryCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    /// key → (result bytes, table versions at insert)
-    entries: HashMap<u64, (u64, Vec<(TableId, u64)>)>,
-    versions: HashMap<TableId, u64>,
+    entries: KeyMap<u64, Cached>,
+    /// insertion sequence → key, oldest first
+    order: BTreeMap<u64, u64>,
+    /// Write version of each table, indexed by `TableId as usize`.
+    versions: [u64; 7],
     hits: u64,
     misses: u64,
 }
@@ -231,39 +238,24 @@ impl QueryCache {
     pub fn new(capacity_bytes: u64) -> Self {
         QueryCache {
             capacity_bytes,
-            used_bytes: 0,
-            entries: HashMap::new(),
-            versions: TableId::ALL.iter().map(|&t| (t, 0)).collect(),
-            hits: 0,
-            misses: 0,
+            ..Default::default()
         }
     }
 
     /// Look up a SELECT by key; returns the cached result size if fresh.
     pub fn lookup(&mut self, key: u64) -> Option<u64> {
-        let fresh = match self.entries.get(&key) {
-            Some((bytes, deps)) => {
-                if deps.iter().all(|(t, v)| self.versions[t] == *v) {
-                    Some(*bytes)
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        match fresh {
-            Some(bytes) => {
-                self.hits += 1;
-                Some(bytes)
-            }
-            None => {
-                if let Some((bytes, _)) = self.entries.remove(&key) {
-                    self.used_bytes -= bytes;
-                }
-                self.misses += 1;
-                None
-            }
+        let fresh = self.entries.get(&key).and_then(|(_, bytes, deps)| {
+            deps.iter()
+                .all(|&(t, v)| self.versions[t as usize] == v)
+                .then_some(*bytes)
+        });
+        if fresh.is_some() {
+            self.hits += 1;
+        } else {
+            self.remove(key);
+            self.misses += 1;
         }
+        fresh
     }
 
     /// Insert a SELECT result of `bytes` depending on `tables`.
@@ -271,27 +263,34 @@ impl QueryCache {
         if bytes > self.capacity_bytes {
             return;
         }
-        // Random-ish eviction: drop arbitrary entries until it fits.
+        self.remove(key);
         while self.used_bytes + bytes > self.capacity_bytes {
-            let Some((&victim, _)) = self.entries.iter().next() else {
+            let Some((_, &oldest)) = self.order.first_key_value() else {
                 break;
             };
-            if let Some((b, _)) = self.entries.remove(&victim) {
-                self.used_bytes -= b;
-            }
+            self.remove(oldest);
         }
-        let deps = tables.iter().map(|&t| (t, self.versions[&t])).collect();
-        if let Some((old, _)) = self.entries.insert(key, (bytes, deps)) {
-            self.used_bytes -= old;
-        }
+        let seq = self.order.last_key_value().map_or(0, |(&s, _)| s + 1);
+        self.order.insert(seq, key);
+        let deps = tables
+            .iter()
+            .map(|&t| (t, self.versions[t as usize]))
+            .collect();
+        self.entries.insert(key, (seq, bytes, deps));
         self.used_bytes += bytes;
+    }
+
+    /// Drop `key`'s entry, if any.
+    fn remove(&mut self, key: u64) {
+        if let Some((seq, bytes, _)) = self.entries.remove(&key) {
+            self.order.remove(&seq);
+            self.used_bytes -= bytes;
+        }
     }
 
     /// Invalidate every cached result that touched `table`.
     pub fn invalidate(&mut self, table: TableId) {
-        // Every table is pre-registered at construction; `or_insert`
-        // keeps this total without a panicking lookup.
-        *self.versions.entry(table).or_insert(0) += 1;
+        self.versions[table as usize] += 1;
     }
 
     /// Bytes of cached results (for memory accounting).

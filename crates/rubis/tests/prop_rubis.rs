@@ -2,7 +2,7 @@
 
 use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query};
 use cloudchar_rubis::schema::{DbScale, ItemId, RegionId, UserId};
-use cloudchar_rubis::storage::{BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
+use cloudchar_rubis::storage::{Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
 use cloudchar_rubis::transition::{Mix, NextAction, TransitionTable};
 use cloudchar_rubis::ClientPopulation;
 use cloudchar_rubis::WorkloadMix;
@@ -49,7 +49,61 @@ fn arbitrary_query(seed: (u8, u32, u32, u16)) -> Query {
     }
 }
 
+/// A naive O(n) LRU: resident pages with their dirty flags, least
+/// recently used first. The reference the buffer pool must match.
+struct ReferenceLru {
+    capacity: usize,
+    pages: Vec<(PageRef, bool)>,
+    stats: (u64, u64, u64),
+}
+
+impl ReferenceLru {
+    fn access(&mut self, page: PageRef, write: bool) -> Access {
+        if let Some(i) = self.pages.iter().position(|&(p, _)| p == page) {
+            let (_, dirty) = self.pages.remove(i);
+            self.pages.push((page, dirty || write));
+            self.stats.0 += 1;
+            return Access::Hit;
+        }
+        self.stats.1 += 1;
+        let mut outcome = Access::Miss;
+        if self.pages.len() == self.capacity {
+            let (_, dirty) = self.pages.remove(0);
+            if dirty {
+                self.stats.2 += 1;
+                outcome = Access::MissDirtyEvict;
+            }
+        }
+        self.pages.push((page, write));
+        outcome
+    }
+}
+
 proptest! {
+    /// The buffer pool is exact LRU: every access returns what a naive
+    /// reference LRU returns, across tables, index pages and writes.
+    #[test]
+    fn buffer_pool_matches_reference_lru(
+        accesses in proptest::collection::vec((0usize..7, 0u64..24, any::<bool>(), any::<bool>()), 1..400),
+        cap_pages in 1u64..17,
+    ) {
+        let mut bp = BufferPool::new(cap_pages * PAGE_BYTES);
+        let mut reference = ReferenceLru {
+            capacity: cap_pages as usize,
+            pages: Vec::new(),
+            stats: (0, 0, 0),
+        };
+        for &(table, page, index, write) in &accesses {
+            let page = PageRef {
+                table: TableId::ALL[table],
+                page: if index { (1 << 40) + page } else { page },
+            };
+            prop_assert_eq!(bp.access(page, write), reference.access(page, write));
+            prop_assert_eq!(bp.resident_pages(), reference.pages.len());
+        }
+        prop_assert_eq!(bp.stats(), reference.stats);
+    }
+
     /// Buffer pool never exceeds capacity and accounts every access.
     #[test]
     fn buffer_pool_invariants(
@@ -78,7 +132,7 @@ proptest! {
             let p = PageRef { table: TableId::Bids, page };
             bp.access(p, false);
             let second = bp.access(p, false);
-            prop_assert_eq!(second, cloudchar_rubis::storage::Access::Hit);
+            prop_assert_eq!(second, Access::Hit);
         }
     }
 
@@ -189,4 +243,54 @@ proptest! {
             prop_assert!(TransitionTable::for_mix(mix).validate().is_ok());
         }
     }
+}
+
+/// At capacity one every miss evicts the previous page, so a run of
+/// dirty pages writes each one back in turn.
+#[test]
+fn dirty_eviction_chain_at_capacity_one() {
+    let mut bp = BufferPool::new(PAGE_BYTES);
+    let page = |page| PageRef {
+        table: TableId::Bids,
+        page,
+    };
+    let trace = [
+        (page(1), true, Access::Miss),
+        (page(2), true, Access::MissDirtyEvict),
+        (page(3), false, Access::MissDirtyEvict),
+        (page(3), true, Access::Hit),
+        (page(4), false, Access::MissDirtyEvict),
+        (page(5), true, Access::Miss),
+        (page(1), false, Access::MissDirtyEvict),
+        (page(2), false, Access::Miss),
+    ];
+    for (p, write, expected) in trace {
+        assert_eq!(bp.access(p, write), expected, "access to {p:?}");
+        assert_eq!(bp.resident_pages(), 1);
+    }
+    assert_eq!(bp.stats(), (1, 7, 4));
+}
+
+/// Two identical query caches fed the same inserts keep the same
+/// survivors: a full cache evicts its oldest entries first.
+#[test]
+fn query_cache_eviction_is_deterministic_fifo() {
+    let survivors = || {
+        let mut qc = QueryCache::new(10_000);
+        let keys: Vec<u64> = (0..500u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        for &k in &keys {
+            qc.insert(k, 100, &[TableId::Items]);
+        }
+        assert_eq!(qc.used_bytes(), 10_000);
+        keys.iter()
+            .enumerate()
+            .filter(|&(_, &k)| qc.lookup(k).is_some())
+            .map(|(i, _)| i)
+            .collect::<Vec<_>>()
+    };
+    let a = survivors();
+    assert_eq!(a, survivors());
+    assert_eq!(a, (400..500).collect::<Vec<_>>());
 }
