@@ -24,8 +24,8 @@
 
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
-    full_characterize, full_characterize_trace, run, run_traced, write_csv_streaming, Deployment,
-    ExperimentConfig, ExperimentResult, ResourceCursor, TraceDir,
+    full_characterize, full_characterize_trace, run, run_opts, write_csv_streaming, Deployment,
+    ExperimentConfig, ExperimentResult, ResourceCursor, RunOptions, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
@@ -40,6 +40,16 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("cloudchar-trace-bench");
     std::fs::create_dir_all(&dir).expect("create bench temp dir");
     dir.join(name)
+}
+
+/// One run whose samples spill to the chunk trace at `path` (the
+/// result's resident store stays empty).
+fn traced_run(cfg: ExperimentConfig, path: &std::path::Path) -> std::io::Result<ExperimentResult> {
+    let opts = RunOptions {
+        trace_out: Some(path.to_path_buf()),
+        ..RunOptions::default()
+    };
+    run_opts(cfg, &opts).map(|(r, _)| r)
 }
 
 /// Synthetic full-catalog store: `hosts` hosts × every catalog metric ×
@@ -233,7 +243,7 @@ fn record() {
     let jobs = cores.min(4);
     let r = run(fast_pair(WorkloadMix::BROWSING));
     let path = tmp("char.cctr");
-    let traced = run_traced(fast_pair(WorkloadMix::BROWSING), &path).expect("traced run");
+    let traced = traced_run(fast_pair(WorkloadMix::BROWSING), &path).expect("traced run");
     assert_eq!(r.completed, traced.completed, "traced run diverged");
     let trace = TraceDir::open(&path).expect("open trace");
     let mut mem_ns = u128::MAX;
@@ -290,8 +300,8 @@ fn smoke() {
     let bid = run(fast_pair(WorkloadMix::BIDDING));
     let browse_path = tmp("virt_browse.cctr");
     let bid_path = tmp("virt_bid.cctr");
-    run_traced(fast_pair(WorkloadMix::BROWSING), &browse_path).expect("traced browse");
-    run_traced(fast_pair(WorkloadMix::BIDDING), &bid_path).expect("traced bid");
+    traced_run(fast_pair(WorkloadMix::BROWSING), &browse_path).expect("traced browse");
+    traced_run(fast_pair(WorkloadMix::BIDDING), &bid_path).expect("traced bid");
     let browse_trace = TraceDir::open(&browse_path).expect("open browse trace");
     let bid_trace = TraceDir::open(&bid_path).expect("open bid trace");
     let mut checked = 0;

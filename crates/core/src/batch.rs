@@ -19,9 +19,10 @@
 use crate::config::Deployment;
 use crate::phys::{HostIoPolicy, PhysPlatform};
 use crate::platform::{Platform, Tier, TierLoad};
+use crate::sink::SampleSink;
 use crate::virt::VirtPlatform;
 use cloudchar_hw::{IoKind, IoRequest, ServerSpec, WorkToken};
-use cloudchar_monitor::{synthesize_perf_into, synthesize_sysstat_into, SampleRow, SeriesStore};
+use cloudchar_monitor::SeriesStore;
 use cloudchar_simcore::{Engine, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -120,7 +121,7 @@ struct BatchWorld {
     map_finish: Option<SimTime>,
     job_finish: Option<SimTime>,
     store: SeriesStore,
-    sample_row: SampleRow,
+    sink: SampleSink,
 }
 
 impl BatchWorld {
@@ -255,16 +256,7 @@ fn take_sample(engine: &mut Engine<BatchWorld>, world: &mut BatchWorld) {
     let samples = world
         .platform
         .sample_hosts(dt, load(world.running[0]), load(world.running[1]));
-    let start = SimTime::ZERO + dt;
-    for s in samples {
-        world.sample_row.clear();
-        synthesize_sysstat_into(&s.raw, s.sysstat_source, &mut world.sample_row);
-        if s.has_perf {
-            synthesize_perf_into(&s.raw, &mut world.sample_row);
-        }
-        let host = world.store.host_id(s.host);
-        world.store.record_row(host, start, dt, &world.sample_row);
-    }
+    world.sink.record(&mut world.store, dt, samples);
     let _ = engine;
 }
 
@@ -304,7 +296,7 @@ pub fn run_batch(cfg: BatchConfig) -> BatchResult {
         map_finish: None,
         job_finish: None,
         store: SeriesStore::new(),
-        sample_row: SampleRow::with_capacity(cloudchar_monitor::TOTAL_METRICS),
+        sink: SampleSink::default(),
     };
     let mut engine: Engine<BatchWorld> = Engine::new();
     let deadline = SimTime::ZERO + cfg.deadline;

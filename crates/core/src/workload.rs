@@ -13,19 +13,21 @@
 //! disk and network phases complete at device-computed times. The same
 //! orchestration runs unchanged over both platforms — the experimental
 //! control the paper's comparison requires.
+//!
+//! It is also the *only* request pipeline: every fleet pod
+//! ([`crate::fleet`]) is a `World` whose requests arrive through
+//! `admit` from the generator shard and whose terminal outcomes leave
+//! through the completion outbox instead of the local client cohort.
 
 use crate::config::ExperimentConfig;
-use crate::online::OnlineBank;
 use crate::platform::{Platform, Tier, TierLoad};
+use crate::sink::SampleSink;
 use cloudchar_hw::WorkToken;
-use cloudchar_monitor::{
-    synthesize_perf_into, synthesize_sysstat_into, ChunkWriter, FaultMonitor, FaultSummary,
-    SampleRow, SeriesStore,
-};
+use cloudchar_monitor::{FaultMonitor, FaultSummary, SeriesStore};
 use cloudchar_rubis::interactions::EntityRanges;
 use cloudchar_rubis::{
-    queries_for, ClientCohort, Interaction, InteractionProfile, MySqlServer, Query, RetryDecision,
-    RetryPolicy, WebAppServer,
+    queries_for, ClientCohort, CompletionEnvelope, Interaction, InteractionProfile, MySqlServer,
+    Outcome, Query, RetryDecision, RetryPolicy, WebAppServer,
 };
 use cloudchar_simcore::stats::{LogHistogram, Welford};
 use cloudchar_simcore::{Dist, Engine, EventId, Sample, SimDuration, SimRng, SimTime, TimerWheel};
@@ -46,6 +48,8 @@ enum Phase {
 #[derive(Debug)]
 struct Request {
     session: u32,
+    /// Session epoch at issue time, echoed in the completion envelope.
+    epoch: u64,
     interaction: Interaction,
     profile: InteractionProfile,
     queries: VecDeque<Query>,
@@ -59,6 +63,18 @@ struct Request {
     started: bool,
     /// Pending client-side timeout event (fault-injection runs only).
     timeout: Option<EventId>,
+}
+
+impl Request {
+    /// The terminal-outcome envelope a fleet pod sends its generator.
+    fn envelope(&self, outcome: Outcome) -> CompletionEnvelope {
+        CompletionEnvelope {
+            session: self.session,
+            epoch: self.epoch,
+            interaction: self.interaction,
+            outcome,
+        }
+    }
 }
 
 /// Why a request failed (fault-injection runs only).
@@ -118,18 +134,13 @@ pub struct World {
     next_req: u64,
     tcp_opened: u64,
     completions_scratch: Vec<(Tier, WorkToken)>,
-    sample_row: SampleRow,
-    /// Streaming trace writer: when armed, sampled rows spill to disk
-    /// chunk by chunk instead of accumulating in `store`.
-    trace: Option<ChunkWriter>,
-    /// First I/O error hit by the trace writer, deferred because the
-    /// sampling tick runs inside an engine callback that cannot return
-    /// `Result`; surfaced by [`World::take_trace`].
-    trace_err: Option<std::io::Error>,
-    /// Live sliding-window profilers: when armed, every sampled row
-    /// also feeds the per-host online characterization (composes with
-    /// tracing — the row is fed before it is routed to either sink).
-    online: Option<OnlineBank>,
+    /// Where sampled rows go: the store, a trace file, online profilers.
+    pub(crate) sink: SampleSink,
+    /// Fleet pods only: terminal outcomes `(event time, envelope)`
+    /// awaiting the channel back to the generator shard. When set, the
+    /// pipeline's two terminal points push here instead of touching
+    /// the local client cohort.
+    pub(crate) outbox: Option<Vec<(SimTime, CompletionEnvelope)>>,
 }
 
 impl World {
@@ -173,35 +184,9 @@ impl World {
             next_req: 0,
             tcp_opened: 0,
             completions_scratch: Vec::new(),
-            sample_row: SampleRow::with_capacity(cloudchar_monitor::TOTAL_METRICS),
-            trace: None,
-            trace_err: None,
-            online: None,
+            sink: SampleSink::default(),
+            outbox: None,
         }
-    }
-
-    /// Arm trace spilling: sampled rows go to `writer` (sealed chunks
-    /// land on disk) and the in-memory `store` stays empty of series.
-    pub fn set_trace_writer(&mut self, writer: ChunkWriter) {
-        self.trace = Some(writer);
-    }
-
-    /// Disarm tracing, returning the writer (so the caller can
-    /// `finish` it) and any I/O error the sampling tick deferred.
-    pub fn take_trace(&mut self) -> (Option<ChunkWriter>, Option<std::io::Error>) {
-        (self.trace.take(), self.trace_err.take())
-    }
-
-    /// Arm live online characterization: every sampled row also feeds
-    /// the bank's per-host sliding-window profilers.
-    pub fn set_online(&mut self, bank: OnlineBank) {
-        self.online = Some(bank);
-    }
-
-    /// Disarm online characterization, returning the bank so the caller
-    /// can `finish` it into an [`crate::online::OnlineReport`].
-    pub fn take_online(&mut self) -> Option<OnlineBank> {
-        self.online.take()
     }
 
     /// Requests currently in flight (for tests).
@@ -250,7 +235,6 @@ impl World {
 /// Install every initial event: staggered client starts, scheduler
 /// quanta, housekeeping and sampling.
 pub fn bootstrap(engine: &mut Engine<World>, world: &mut World) {
-    let end = world.cfg.end_time();
     // Staggered session starts, armed on the timer wheel: the offsets
     // draw from the RNG exactly as the per-client path did, but the
     // engine only sees one event per wheel bucket.
@@ -259,6 +243,14 @@ pub fn bootstrap(engine: &mut Engine<World>, world: &mut World) {
         let offset = Dist::Uniform { lo: 0.0, hi: ramp }.sample(&mut world.rng);
         arm_wake(engine, world, session, SimTime::from_secs_f64(offset));
     }
+    install_ticks(engine, world);
+}
+
+/// Install the host's periodic ticks — scheduler quanta, housekeeping
+/// and sampling — without any client population. A fleet pod installs
+/// only these: its requests arrive as messages through [`admit`].
+pub(crate) fn install_ticks(engine: &mut Engine<World>, world: &World) {
+    let end = world.cfg.end_time();
     // Scheduler quantum.
     let quantum = world.platform.quantum();
     engine.schedule_periodic(SimTime::ZERO + quantum, quantum, move |e, w| {
@@ -329,10 +321,36 @@ fn wheel_fire(engine: &mut Engine<World>, world: &mut World, slot: usize) {
 }
 
 fn fire_request(engine: &mut Engine<World>, world: &mut World, session: u32) {
-    if engine.now() >= world.cfg.end_time() {
+    let now = engine.now();
+    if now >= world.cfg.end_time() {
         return;
     }
+    let epoch = world.clients.epoch(session);
     let interaction = world.clients.current_interaction(session);
+    let id = admit(engine, world, now, session, epoch, interaction);
+    if world.faults.enabled {
+        let wait = SimDuration::from_secs_f64(world.faults.policy.timeout_s);
+        let ev = engine.schedule_in(wait, move |e, w| request_timeout(e, w, id));
+        world
+            .inflight
+            .get_mut(&id)
+            .expect("request just inserted")
+            .timeout = Some(ev);
+    }
+}
+
+/// Admit one page request at `now`: draw its queries and request size,
+/// register it in flight, and send it over the client→web link.
+/// Returns the request id. The single-host generator ([`fire_request`])
+/// and fleet pods (a generator message) both enter the pipeline here.
+pub(crate) fn admit(
+    engine: &mut Engine<World>,
+    world: &mut World,
+    now: SimTime,
+    session: u32,
+    epoch: u64,
+    interaction: Interaction,
+) -> u64 {
     let profile = InteractionProfile::of(interaction);
     let ranges = world.ranges();
     let queries: VecDeque<Query> = queries_for(interaction, ranges, &mut world.rng)
@@ -345,30 +363,23 @@ fn fire_request(engine: &mut Engine<World>, world: &mut World, session: u32) {
         id,
         Request {
             session,
+            epoch,
             interaction,
             profile,
             queries,
             db_bytes: 0,
             last_db_resp: 0,
             io_barrier: SimTime::ZERO,
-            issued: engine.now(),
+            issued: now,
             phase: Phase::WebScript,
             started: false,
             timeout: None,
         },
     );
     world.tcp_opened += 1;
-    let arrive = world.platform.net_client_to_web(engine.now(), req_bytes);
+    let arrive = world.platform.net_client_to_web(now, req_bytes);
     engine.schedule_at(arrive, move |e, w| web_arrival(e, w, id));
-    if world.faults.enabled {
-        let wait = SimDuration::from_secs_f64(world.faults.policy.timeout_s);
-        let ev = engine.schedule_in(wait, move |e, w| request_timeout(e, w, id));
-        world
-            .inflight
-            .get_mut(&id)
-            .expect("request just inserted")
-            .timeout = Some(ev);
-    }
+    id
 }
 
 fn web_arrival(engine: &mut Engine<World>, world: &mut World, id: u64) {
@@ -551,6 +562,10 @@ fn client_done(engine: &mut Engine<World>, world: &mut World, id: u64, session: 
     let idx = req.interaction.index();
     world.interaction_counts[idx] += 1;
     world.interaction_latency[idx].push(latency);
+    if let Some(outbox) = world.outbox.as_mut() {
+        outbox.push((engine.now(), req.envelope(Outcome::Ok)));
+        return;
+    }
     if world.faults.enabled {
         if let Some(ev) = req.timeout {
             engine.cancel(ev);
@@ -618,6 +633,10 @@ fn fail_removed(
     match cause {
         FailCause::Error => world.faults.monitor.record_error(),
         FailCause::Timeout => world.faults.monitor.record_timeout(),
+    }
+    if let Some(outbox) = world.outbox.as_mut() {
+        outbox.push((engine.now(), req.envelope(Outcome::Failed)));
+        return;
     }
     let session = req.session;
     let decision = world
@@ -691,37 +710,8 @@ fn take_sample(engine: &mut Engine<World>, world: &mut World) {
         // error-rate / retry point per sampling interval.
         world.faults.monitor.sample();
     }
-    let start = SimTime::ZERO + dt;
     let samples = world.platform.sample_hosts(dt, web_load, db_load);
-    for s in samples {
-        // One reusable row per host per tick: synthesis appends by
-        // cached layout ids, then the whole row commits in one call —
-        // no string keys, no map probes, no steady-state allocation.
-        world.sample_row.clear();
-        synthesize_sysstat_into(&s.raw, s.sysstat_source, &mut world.sample_row);
-        if s.has_perf {
-            synthesize_perf_into(&s.raw, &mut world.sample_row);
-        }
-        if let Some(bank) = world.online.as_mut() {
-            // Online profiling observes the row before it is routed, so
-            // it composes with both sinks and perturbs neither.
-            bank.record(s.host, &world.sample_row);
-        }
-        if let Some(writer) = world.trace.as_mut() {
-            let host = writer.host_id(s.host);
-            if let Err(e) = writer.record_row(host, start, dt, &world.sample_row) {
-                // Deferred: the tick can't return Result through the
-                // engine. Disarm so one bad disk reports one error.
-                if world.trace_err.is_none() {
-                    world.trace_err = Some(e);
-                }
-                world.trace = None;
-            }
-        } else {
-            let host = world.store.host_id(s.host);
-            world.store.record_row(host, start, dt, &world.sample_row);
-        }
-    }
+    world.sink.record(&mut world.store, dt, samples);
     let _ = engine;
 }
 

@@ -119,9 +119,10 @@ pub const SORTED_OUTPUT_FILES: [&str; 3] = [
 
 /// Files on the per-tick sampling hot path, which must stay columnar
 /// (no host-keyed map lookups per sample — CL006).
-pub const SAMPLING_PATH_FILES: [&str; 4] = [
+pub const SAMPLING_PATH_FILES: [&str; 5] = [
     "crates/monitor/src/store.rs",
     "crates/monitor/src/synth.rs",
+    "crates/core/src/sink.rs",
     "crates/core/src/workload.rs",
     "crates/core/src/batch.rs",
 ];
@@ -140,9 +141,15 @@ pub const ORACLE_DEF_FILES: [&str; 2] = [
 
 /// Files whose code runs inside a shard of the parallel sharded engine
 /// and must therefore own its state exclusively (CL013): no shared-state
-/// primitives — cross-shard traffic is channel messages only.
-pub const SHARD_LOGIC_FILES: [&str; 2] =
-    ["crates/core/src/fleet.rs", "crates/core/src/experiment.rs"];
+/// primitives — cross-shard traffic is channel messages only. Fleet
+/// pods run the single-host request pipeline and fault interpreter, so
+/// those files run inside shards too.
+pub const SHARD_LOGIC_FILES: [&str; 4] = [
+    "crates/core/src/fleet.rs",
+    "crates/core/src/workload.rs",
+    "crates/core/src/faults.rs",
+    "crates/core/src/sink.rs",
+];
 
 /// Files on the out-of-core streaming path, which must keep memory
 /// bounded by the chunk size (CL014): no whole-series materialization.

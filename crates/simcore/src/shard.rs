@@ -323,11 +323,12 @@ pub struct ShardStats {
     /// Local events plus message deliveries executed.
     pub units: u64,
     /// Critical-path units: per round, the largest unit count any one
-    /// shard (serial modes) or worker (parallel mode) executed, summed
-    /// over the run. `units / critical_units` is the speedup an ideal
-    /// zero-overhead parallel execution of the same round schedule
-    /// achieves — a machine-independent ceiling the benches report
-    /// alongside measured wall-clock.
+    /// shard executed, summed over the run — the same figure in every
+    /// mode and at every worker count. `units / critical_units` is the
+    /// speedup an ideal zero-overhead execution of the same round
+    /// schedule achieves with one worker per shard — a
+    /// machine-independent ceiling the benches report alongside
+    /// measured wall-clock.
     pub critical_units: u64,
     /// Cross-shard messages routed.
     pub messages: u64,
@@ -483,6 +484,8 @@ struct Reply<M> {
     out: Vec<Outgoing<M>>,
     keys: Vec<(usize, Option<(SimTime, ShardId)>)>,
     units: u64,
+    /// Largest unit count of any one shard this worker drained.
+    shard_max: u64,
 }
 
 /// The sharded runner: owns every shard's [`ShardLogic`], the
@@ -701,7 +704,7 @@ impl<S: ShardLogic> ShardedEngine<S> {
                     };
                     replies.push(rep);
                 }
-                stats.critical_units += replies.iter().map(|r| r.units).max().unwrap_or(0);
+                stats.critical_units += replies.iter().map(|r| r.shard_max).max().unwrap_or(0);
                 for rep in &replies {
                     stats.units += rep.units;
                     for (i, key) in &rep.keys {
@@ -764,17 +767,26 @@ fn worker<S: ShardLogic>(
         }
         let mut out = Vec::new();
         let mut units = 0u64;
+        let mut shard_max = 0u64;
         for (shard, bound) in work {
             let Some((_, cell)) = part.iter_mut().find(|(i, _)| *i == shard) else {
                 continue; // unreachable: the runner only routes owned shards
             };
-            units += drain_cell(shard as ShardId, cell, topo, bound, &mut out);
+            let ran = drain_cell(shard as ShardId, cell, topo, bound, &mut out);
+            units += ran;
+            shard_max = shard_max.max(ran);
         }
         let keys = part
             .iter_mut()
             .map(|(i, cell)| (*i, next_key(*i as ShardId, cell)))
             .collect();
-        if tx.send(Reply { out, keys, units }).is_err() {
+        let reply = Reply {
+            out,
+            keys,
+            units,
+            shard_max,
+        };
+        if tx.send(reply).is_err() {
             break;
         }
     }

@@ -10,8 +10,8 @@
 //! the R-claim signs outside the fault window.
 
 use cloudchar_core::{
-    run, run_fleet, run_seeds_jobs, run_sharded, scenario, scenario_report, Deployment,
-    ExperimentConfig, ExperimentResult, FleetConfig, SCENARIOS,
+    run, run_fleet, run_opts, run_seeds_jobs, scenario, scenario_report, Deployment,
+    ExperimentConfig, ExperimentResult, FleetConfig, RunOptions, SCENARIOS,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
@@ -148,28 +148,26 @@ fn db_crash_preserves_r_claim_signs_outside_the_window() {
 }
 
 #[test]
-fn scenarios_pin_identical_envelopes_across_shard_jobs() {
+fn scenarios_pin_identical_envelopes_across_run_entries() {
     // The availability envelope and per-host phase deltas of a chaos
-    // scenario are part of the deterministic contract: the sharded
-    // runner at any worker count must pin the exact same windows and
-    // the exact same numbers as the legacy engine.
+    // scenario are part of the deterministic contract: `run_opts` with
+    // live online profiling armed must pin the exact same windows and
+    // the exact same numbers as plain `run`.
+    let opts = RunOptions {
+        online_window: Some(16),
+        ..RunOptions::default()
+    };
     for name in ["db-crash", "noisy-neighbor"] {
-        let legacy = run(faulted_cfg(name, 42));
-        let s1 = run_sharded(faulted_cfg(name, 42), 1);
-        let s4 = run_sharded(faulted_cfg(name, 42), 4);
+        let plain = run(faulted_cfg(name, 42));
+        let (observed, _) = run_opts(faulted_cfg(name, 42), &opts).expect("untraced run");
         assert_eq!(
-            fingerprint(&legacy),
-            fingerprint(&s1),
-            "{name}: sharded jobs=1 diverged"
+            fingerprint(&plain),
+            fingerprint(&observed),
+            "{name}: run_opts diverged from run"
         );
-        assert_eq!(
-            fingerprint(&legacy),
-            fingerprint(&s4),
-            "{name}: sharded jobs=4 diverged"
-        );
-        assert_eq!(legacy.faults, s4.faults, "{name}: fault summaries");
-        let a = scenario_report(&legacy).expect("phase report computable");
-        let b = scenario_report(&s4).expect("phase report computable");
+        assert_eq!(plain.faults, observed.faults, "{name}: fault summaries");
+        let a = scenario_report(&plain).expect("phase report computable");
+        let b = scenario_report(&observed).expect("phase report computable");
         assert_eq!(a.window, b.window, "{name}: availability window");
         for (x, y) in [
             (a.availability_before, b.availability_before),

@@ -1,16 +1,19 @@
-//! Differential determinism harness for the sharded engine.
+//! Differential determinism harness for the run entries and the
+//! sharded fleet.
 //!
-//! The sharded runner (`run_sharded`) must be *invisible*: for every
-//! golden configuration the repo pins, the legacy single-queue engine,
-//! the sharded engine at `jobs = 1`, and the sharded engine at
-//! `jobs = 4` must produce byte-identical sampled series — same
-//! fingerprints, same figure CSVs, same completion counts. This is the
-//! gate that lets `repro --engine sharded --jobs N` claim the exact
-//! outputs of the sequential engine.
+//! Single host: for every golden configuration the repo pins, `run` and
+//! `run_opts` with live online profiling armed must produce
+//! byte-identical sampled series — same fingerprints, same figure CSVs,
+//! same completion and event counts. Observers never perturb a run.
+//!
+//! Fleet: the sharded multi-host runner must reproduce the pinned
+//! fingerprints and runner counters at every worker count, with and
+//! without a fault plan on pod 0.
 
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
-    run, run_sharded, scenario, scenario_report, Deployment, ExperimentConfig, ExperimentResult,
+    run, run_fleet, run_opts, scenario, scenario_report, Deployment, ExperimentConfig,
+    ExperimentResult, FleetConfig, RunOptions,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
@@ -57,29 +60,36 @@ fn fig_csv_hash(r: &ExperimentResult) -> u64 {
     h
 }
 
-/// Run one golden configuration three ways and assert the results are
+/// `run_opts` with a live online window armed.
+fn run_observed(cfg: ExperimentConfig) -> ExperimentResult {
+    let opts = RunOptions {
+        online_window: Some(60),
+        ..RunOptions::default()
+    };
+    let (r, report) = run_opts(cfg, &opts).expect("untraced run cannot fail");
+    assert!(report.is_some(), "online window was armed");
+    r
+}
+
+/// Run one golden configuration through `run` and through `run_opts`
+/// with online profiling armed, and assert the results are
 /// indistinguishable; returns the common fingerprint.
 fn assert_equivalent(label: &str, mk: impl Fn() -> ExperimentConfig) -> u64 {
-    let legacy = run(mk());
-    let sharded1 = run_sharded(mk(), 1);
-    let sharded4 = run_sharded(mk(), 4);
-    let fp = fingerprint(&legacy);
+    let plain = run(mk());
+    let observed = run_observed(mk());
+    let fp = fingerprint(&plain);
     assert_eq!(
         fp,
-        fingerprint(&sharded1),
-        "{label}: sharded jobs=1 diverged from the single-queue engine"
+        fingerprint(&observed),
+        "{label}: online profiling perturbed the sampled series"
     );
     assert_eq!(
-        fp,
-        fingerprint(&sharded4),
-        "{label}: sharded jobs=4 diverged from the single-queue engine"
+        fig_csv_hash(&plain),
+        fig_csv_hash(&observed),
+        "{label}: figure CSVs"
     );
-    let csv = fig_csv_hash(&legacy);
-    assert_eq!(csv, fig_csv_hash(&sharded1), "{label}: jobs=1 figure CSVs");
-    assert_eq!(csv, fig_csv_hash(&sharded4), "{label}: jobs=4 figure CSVs");
-    assert_eq!(legacy.completed, sharded1.completed, "{label}: completions");
-    assert_eq!(legacy.completed, sharded4.completed, "{label}: completions");
-    assert_eq!(legacy.events, sharded4.events, "{label}: event counts");
+    assert_eq!(plain.completed, observed.completed, "{label}: completions");
+    assert_eq!(plain.events, observed.events, "{label}: event counts");
     fp
 }
 
@@ -93,10 +103,10 @@ fn golden(clients: u32, duration_s: u64, rampup_s: u64) -> ExperimentConfig {
 }
 
 #[test]
-fn kilo_client_replay_is_engine_invariant() {
-    // The paper-scale golden config: the sharded runner must reproduce
-    // the exact pinned hash of the 1000-client replay, not merely agree
-    // with today's legacy engine.
+fn kilo_client_replay_is_observer_invariant() {
+    // The paper-scale golden config: both entries must reproduce the
+    // exact pinned hash of the 1000-client replay, not merely agree
+    // with each other.
     let fp = assert_equivalent("1000-client replay", || golden(1000, 120, 10));
     assert_eq!(
         fp, 0xd483_243b_663e_e2ff,
@@ -105,7 +115,7 @@ fn kilo_client_replay_is_engine_invariant() {
 }
 
 #[test]
-fn hundred_k_fleet_smoke_is_engine_invariant() {
+fn hundred_k_fleet_smoke_is_observer_invariant() {
     let fp = assert_equivalent("100k fleet smoke", || golden(100_000, 6, 2));
     assert_eq!(
         fp, 0xd433_8962_c34f_5961,
@@ -114,19 +124,19 @@ fn hundred_k_fleet_smoke_is_engine_invariant() {
 }
 
 #[test]
-fn db_crash_scenario_is_engine_invariant() {
+fn db_crash_scenario_is_observer_invariant() {
     // Fault injection exercises the cancel/timeout/retry machinery; the
-    // scenario's availability envelope must not depend on the engine.
+    // scenario's availability envelope must not depend on the entry.
     let mk = || {
         let mut c = golden(1000, 60, 5);
         c.faults = scenario("db-crash", 60.0).expect("built-in scenario");
         c
     };
     assert_equivalent("db-crash scenario", mk);
-    let legacy = run(mk());
-    let sharded = run_sharded(mk(), 4);
-    let a = scenario_report(&legacy).expect("fault windows inside the run");
-    let b = scenario_report(&sharded).expect("fault windows inside the run");
+    let plain = run(mk());
+    let observed = run_observed(mk());
+    let a = scenario_report(&plain).expect("fault windows inside the run");
+    let b = scenario_report(&observed).expect("fault windows inside the run");
     assert_eq!(a.window, b.window, "availability window drifted");
     assert_eq!(
         a.availability_during.to_bits(),
@@ -134,4 +144,78 @@ fn db_crash_scenario_is_engine_invariant() {
         "crash-window availability drifted"
     );
     assert_eq!(a.deltas.len(), b.deltas.len(), "phase-delta rows drifted");
+}
+
+/// Run a fleet at `jobs = 1` and `jobs = 2` and assert both runs match
+/// the pinned fingerprint and runner counters.
+fn assert_fleet_golden(
+    label: &str,
+    cfg: &FleetConfig,
+    fp: u64,
+    completed: u64,
+    units: u64,
+    rounds: u64,
+    messages: u64,
+) {
+    for jobs in [1, 2] {
+        let r = run_fleet(cfg, jobs);
+        assert_eq!(
+            r.fingerprint(),
+            fp,
+            "{label}: jobs={jobs} fingerprint {:#018x} diverged from the golden",
+            r.fingerprint()
+        );
+        assert_eq!(r.completed, completed, "{label}: jobs={jobs} completions");
+        assert_eq!(r.stats.units, units, "{label}: jobs={jobs} units");
+        assert_eq!(r.stats.rounds, rounds, "{label}: jobs={jobs} rounds");
+        assert_eq!(r.stats.messages, messages, "{label}: jobs={jobs} messages");
+    }
+}
+
+#[test]
+fn paper13_fleet_golden_is_pinned() {
+    let cfg = FleetConfig::paper13();
+    assert_fleet_golden(
+        "paper13",
+        &cfg,
+        0x5e2e_3f36_7b03_9350,
+        4236,
+        79844,
+        13162,
+        8475,
+    );
+}
+
+#[test]
+fn fleet100_golden_is_pinned() {
+    let cfg = FleetConfig::fleet100();
+    assert_fleet_golden(
+        "fleet100",
+        &cfg,
+        0x65db_bc33_f17a_dc37,
+        14536,
+        303_054,
+        10080,
+        29081,
+    );
+}
+
+#[test]
+fn fault_pod_fingerprints_are_pinned() {
+    // Each built-in scenario injected into pod 0 of the paper13 fleet.
+    // Pods draw tier-error coin flips from their own `pod{i}-faults`
+    // lane, as the single host does from `faults`, so the workload lane
+    // never sees them; only web-throttle injects tier errors.
+    for (name, want) in [
+        ("db-crash", 0xba20_9300_c50d_216d_u64),
+        ("noisy-neighbor", 0x86d7_590b_6b50_fbd5),
+        ("web-throttle", 0x67ca_a71e_355a_7141),
+    ] {
+        let mut cfg = FleetConfig::paper13();
+        cfg.base.faults =
+            scenario(name, cfg.base.duration.as_secs_f64()).expect("built-in scenario");
+        cfg.fault_pod = Some(0);
+        let fp = run_fleet(&cfg, 1).fingerprint();
+        assert_eq!(fp, want, "{name}: pod-0 fleet fingerprint {fp:#018x}");
+    }
 }
