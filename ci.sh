@@ -8,6 +8,9 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo clippy (MSRV: no std API newer than the declared rust-version)"
+cargo clippy --offline --workspace --all-targets -q -- -A clippy::all -D clippy::incompatible_msrv
+
 echo "==> cargo test -q"
 cargo test -q
 

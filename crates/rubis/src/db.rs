@@ -10,18 +10,15 @@
 use crate::schema::{
     generate, Bid, BuyNow, CategoryId, Comment, DbScale, Item, ItemId, RegionId, User, UserId,
 };
-use crate::storage::{page_of, Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
+use crate::storage::{
+    page_of, Access, BufferPool, PageRef, QueryCache, TableId, INDEX_PAGE_BASE, PAGE_BYTES,
+};
 use cloudchar_hw::{IoKind, IoRequest};
 use cloudchar_simcore::SimRng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Items shown per search result page (RUBiS default).
 pub const ITEMS_PER_PAGE: usize = 20;
-
-/// Offset separating index pages from data pages within a table's page
-/// space.
-const INDEX_PAGE_BASE: u64 = 1 << 40;
 
 /// The structured query set issued by the RUBiS PHP scripts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -175,7 +172,7 @@ impl Query {
 }
 
 /// Physical footprint of one executed query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryResult {
     /// Rows produced/affected.
     pub rows: u64,
@@ -216,6 +213,48 @@ mod cost {
     pub const WRITE_EXTRA: f64 = 50_000.0;
 }
 
+/// A secondary index over a dense id space: the list of entries filed
+/// under each id, in insertion order, indexed by the id itself.
+struct Postings<T>(Vec<Vec<T>>);
+
+impl<T> Postings<T> {
+    /// An index presized for ids `0..ids`.
+    fn with_ids(ids: usize) -> Self {
+        Postings(std::iter::repeat_with(Vec::new).take(ids).collect())
+    }
+
+    /// File `entry` under `id`, growing the index past its presized ids
+    /// if needed.
+    fn push(&mut self, id: u32, entry: T) {
+        let id = id as usize;
+        if id >= self.0.len() {
+            self.0.resize_with(id + 1, Vec::new);
+        }
+        self.0[id].push(entry);
+    }
+
+    /// The entries filed under `id`, oldest first.
+    fn get(&self, id: u32) -> &[T] {
+        self.0.get(id as usize).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// One item's row in its category's covering scan: everything both
+/// category searches read, so they scan their category sequentially
+/// instead of chasing item → seller → region. Items are never inserted
+/// and no query changes an item's seller or a user's region, so the rows
+/// never go stale. Page numbers fit `u32`: rows are smaller than a page,
+/// so a row's page number never exceeds its `u32` id.
+#[derive(Clone)]
+struct CategoryRow {
+    /// Data page of the item's row.
+    item_page: u32,
+    /// Data page of the seller's user row.
+    seller_page: u32,
+    /// The seller's home region.
+    seller_region: RegionId,
+}
+
 /// The in-memory RUBiS database with secondary indexes.
 pub struct Database {
     scale: DbScale,
@@ -224,12 +263,12 @@ pub struct Database {
     bids: Vec<Bid>,
     comments: Vec<Comment>,
     buy_nows: Vec<BuyNow>,
-    items_by_category: Vec<Vec<ItemId>>,
-    bids_by_item: HashMap<ItemId, Vec<u32>>,
-    comments_by_to: HashMap<UserId, Vec<u32>>,
-    items_by_seller: HashMap<UserId, Vec<ItemId>>,
-    bids_by_user: HashMap<UserId, Vec<u32>>,
-    buy_nows_by_buyer: HashMap<UserId, Vec<u32>>,
+    items_by_category: Vec<Vec<CategoryRow>>,
+    bids_by_item: Postings<u32>,
+    comments_by_to: Postings<u32>,
+    items_by_seller: Postings<ItemId>,
+    bids_by_user: Postings<u32>,
+    buy_nows_by_buyer: Postings<u32>,
 }
 
 impl std::fmt::Debug for Database {
@@ -250,24 +289,27 @@ impl Database {
         let (users, items, bids, comments) = generate(scale, rng);
         let mut db = Database {
             scale,
-            users,
-            items,
-            bids: Vec::new(),
-            comments: Vec::new(),
+            bids: Vec::with_capacity(bids.len()),
+            comments: Vec::with_capacity(comments.len()),
             buy_nows: Vec::new(),
             items_by_category: vec![Vec::new(); usize::from(scale.categories)],
-            bids_by_item: HashMap::new(),
-            comments_by_to: HashMap::new(),
-            items_by_seller: HashMap::new(),
-            bids_by_user: HashMap::new(),
-            buy_nows_by_buyer: HashMap::new(),
+            bids_by_item: Postings::with_ids(items.len()),
+            comments_by_to: Postings::with_ids(users.len()),
+            items_by_seller: Postings::with_ids(users.len()),
+            bids_by_user: Postings::with_ids(users.len()),
+            // No buy-now is generated: this index grows only as buyers
+            // appear, instead of holding an empty list per user.
+            buy_nows_by_buyer: Postings::with_ids(0),
+            users,
+            items,
         };
         for item in &db.items {
-            db.items_by_category[usize::from(item.category.0)].push(item.id);
-            db.items_by_seller
-                .entry(item.seller)
-                .or_default()
-                .push(item.id);
+            db.items_by_category[usize::from(item.category.0)].push(CategoryRow {
+                item_page: Self::data_page(TableId::Items, u64::from(item.id.0)).page as u32,
+                seller_page: Self::data_page(TableId::Users, u64::from(item.seller.0)).page as u32,
+                seller_region: db.users[item.seller.0 as usize].region,
+            });
+            db.items_by_seller.push(item.seller.0, item.id);
         }
         for bid in bids {
             db.index_bid(bid);
@@ -280,14 +322,14 @@ impl Database {
 
     fn index_bid(&mut self, bid: Bid) {
         let idx = self.bids.len() as u32;
-        self.bids_by_item.entry(bid.item).or_default().push(idx);
-        self.bids_by_user.entry(bid.user).or_default().push(idx);
+        self.bids_by_item.push(bid.item.0, idx);
+        self.bids_by_user.push(bid.user.0, idx);
         self.bids.push(bid);
     }
 
     fn index_comment(&mut self, comment: Comment) {
         let idx = self.comments.len() as u32;
-        self.comments_by_to.entry(comment.to).or_default().push(idx);
+        self.comments_by_to.push(comment.to.0, idx);
         self.comments.push(comment);
     }
 
@@ -350,9 +392,16 @@ impl Database {
         });
     }
 
-    /// Execute a query. `now_s` stamps inserted rows.
-    pub fn execute(&mut self, q: Query, now_s: u32) -> QueryResult {
-        let mut r = QueryResult::default();
+    /// Execute a query into `r`, overwriting whatever it held; reusing
+    /// one result across queries keeps its page lists' allocations.
+    /// `now_s` stamps inserted rows.
+    pub fn execute(&mut self, q: Query, now_s: u32, r: &mut QueryResult) {
+        r.rows = 0;
+        r.result_bytes = 0;
+        r.cpu_cycles = 0.0;
+        r.pages.clear();
+        r.dirty_pages.clear();
+        r.tables = &[];
         match q {
             Query::SelectCategories => {
                 r.tables = &[TableId::Categories];
@@ -375,16 +424,15 @@ impl Database {
             Query::SearchItemsByCategory { category, page } => {
                 r.tables = &[TableId::Items];
                 let cat = usize::from(category.0).min(self.items_by_category.len() - 1);
-                let ids = &self.items_by_category[cat];
-                let shown = ids
+                let shown = self.items_by_category[cat]
                     .chunks(ITEMS_PER_PAGE)
                     .nth(page as usize)
                     .unwrap_or_default();
                 Self::index_pages(TableId::Items, u64::from(category.0), &mut r.pages);
-                for id in shown {
-                    r.pages
-                        .push(Self::data_page(TableId::Items, u64::from(id.0)));
-                }
+                r.pages.extend(shown.iter().map(|row| PageRef {
+                    table: TableId::Items,
+                    page: u64::from(row.item_page),
+                }));
                 r.rows = shown.len() as u64;
                 r.result_bytes = 120 + r.rows * 32;
             }
@@ -395,28 +443,28 @@ impl Database {
             } => {
                 r.tables = &[TableId::Items, TableId::Users];
                 let cat = usize::from(category.0).min(self.items_by_category.len() - 1);
-                let ids = &self.items_by_category[cat];
                 // Join through sellers' region: scan the category slice,
-                // probing each seller row.
+                // reading each item row and its seller's row, up to a
+                // LIMIT-bounded 400 rows.
                 let mut matched = 0u64;
                 let mut examined = 0u64;
                 Self::index_pages(TableId::Items, u64::from(category.0), &mut r.pages);
                 let skip = page as usize * ITEMS_PER_PAGE;
-                for id in ids.iter() {
-                    let item = &self.items[id.0 as usize];
+                for row in self.items_by_category[cat].iter().take(400) {
                     examined += 1;
-                    r.pages
-                        .push(Self::data_page(TableId::Items, u64::from(id.0)));
-                    r.pages
-                        .push(Self::data_page(TableId::Users, u64::from(item.seller.0)));
-                    if self.users[item.seller.0 as usize].region == region {
+                    r.pages.push(PageRef {
+                        table: TableId::Items,
+                        page: u64::from(row.item_page),
+                    });
+                    r.pages.push(PageRef {
+                        table: TableId::Users,
+                        page: u64::from(row.seller_page),
+                    });
+                    if row.seller_region == region {
                         matched += 1;
                         if matched as usize >= skip + ITEMS_PER_PAGE {
                             break;
                         }
-                    }
-                    if examined >= 400 {
-                        break; // LIMIT-bounded scan
                     }
                 }
                 r.rows = matched.min(ITEMS_PER_PAGE as u64);
@@ -438,17 +486,9 @@ impl Database {
                 let uid = user.0 as usize % self.users.len();
                 r.pages.push(Self::data_page(TableId::Users, uid as u64));
                 Self::index_pages(TableId::Comments, uid as u64, &mut r.pages);
-                let n = self
-                    .comments_by_to
-                    .get(&UserId(uid as u32))
-                    .map_or(0, |v| v.len());
-                for &ci in self
-                    .comments_by_to
-                    .get(&UserId(uid as u32))
-                    .into_iter()
-                    .flatten()
-                    .take(25)
-                {
+                let comments = self.comments_by_to.get(uid as u32);
+                let n = comments.len();
+                for &ci in comments.iter().take(25) {
                     r.pages
                         .push(Self::data_page(TableId::Comments, u64::from(ci)));
                 }
@@ -459,7 +499,7 @@ impl Database {
                 r.tables = &[TableId::Bids, TableId::Users];
                 let iid = ItemId(item.0 % self.items.len() as u32);
                 Self::index_pages(TableId::Bids, u64::from(iid.0), &mut r.pages);
-                let idxs = self.bids_by_item.get(&iid).map_or(&[][..], Vec::as_slice);
+                let idxs = self.bids_by_item.get(iid.0);
                 for &bi in idxs {
                     r.pages.push(Self::data_page(TableId::Bids, u64::from(bi)));
                     let bidder = self.bids[bi as usize].user;
@@ -496,33 +536,21 @@ impl Database {
                 r.pages
                     .push(Self::data_page(TableId::Users, u64::from(uid.0)));
                 let mut rows = 1u64;
-                for &bi in self.bids_by_user.get(&uid).into_iter().flatten().take(20) {
+                for &bi in self.bids_by_user.get(uid.0).iter().take(20) {
                     r.pages.push(Self::data_page(TableId::Bids, u64::from(bi)));
                     rows += 1;
                 }
-                for id in self
-                    .items_by_seller
-                    .get(&uid)
-                    .into_iter()
-                    .flatten()
-                    .take(20)
-                {
+                for id in self.items_by_seller.get(uid.0).iter().take(20) {
                     r.pages
                         .push(Self::data_page(TableId::Items, u64::from(id.0)));
                     rows += 1;
                 }
-                for &bn in self
-                    .buy_nows_by_buyer
-                    .get(&uid)
-                    .into_iter()
-                    .flatten()
-                    .take(20)
-                {
+                for &bn in self.buy_nows_by_buyer.get(uid.0).iter().take(20) {
                     r.pages
                         .push(Self::data_page(TableId::BuyNow, u64::from(bn)));
                     rows += 1;
                 }
-                for &ci in self.comments_by_to.get(&uid).into_iter().flatten().take(20) {
+                for &ci in self.comments_by_to.get(uid.0).iter().take(20) {
                     r.pages
                         .push(Self::data_page(TableId::Comments, u64::from(ci)));
                     rows += 1;
@@ -611,10 +639,7 @@ impl Database {
                     qty: 1,
                     date_s: now_s,
                 });
-                self.buy_nows_by_buyer
-                    .entry(buyer)
-                    .or_default()
-                    .push(row as u32);
+                self.buy_nows_by_buyer.push(buyer.0, row as u32);
                 r.dirty_pages.push(Self::data_page(TableId::BuyNow, row));
                 r.dirty_pages.push(item_page);
                 r.rows = 2;
@@ -625,7 +650,6 @@ impl Database {
             + r.rows as f64 * cost::PER_ROW
             + (r.pages.len() + r.dirty_pages.len()) as f64 * cost::PER_PAGE
             + if q.is_write() { cost::WRITE_EXTRA } else { 0.0 };
-        r
     }
 }
 
@@ -680,6 +704,8 @@ pub struct MySqlServer {
     config: MySqlConfig,
     pool: BufferPool,
     cache: QueryCache,
+    /// The last executed query's footprint, reused across queries.
+    result: QueryResult,
     /// Currently open client connections (drives memory accounting).
     pub connections: u32,
     queries_executed: u64,
@@ -693,6 +719,7 @@ impl MySqlServer {
             db,
             pool: BufferPool::new(config.buffer_pool_bytes),
             cache: QueryCache::new(config.query_cache_bytes),
+            result: QueryResult::default(),
             config,
             connections: 0,
             queries_executed: 0,
@@ -755,7 +782,8 @@ impl MySqlServer {
             }
         }
 
-        let result = self.db.execute(q, now_s);
+        self.db.execute(q, now_s, &mut self.result);
+        let result = &self.result;
         let mut ios = Vec::new();
         for page in &result.pages {
             match self.pool.access(*page, false) {
@@ -1129,6 +1157,111 @@ mod tests {
         let w = s.execute(Query::GetUserInfo { user: UserId(5) }, 0);
         assert!(w.rows >= 1);
         assert!(w.response_bytes >= 80);
+    }
+
+    /// The covering category rows and the reused result reproduce the
+    /// naive formulation. After a seeded stream of every write query,
+    /// both category searches return the page lists and rows of a join
+    /// over the item and user rows, and a query executed into a result
+    /// that last held a long scan equals the same query executed fresh.
+    #[test]
+    fn covering_scan_and_reused_result_match_naive_join() {
+        let mut db = Database::generate(DbScale::small(), &mut SimRng::new(11));
+        let mut stream = SimRng::new(12);
+        for now_s in 0..2_000 {
+            let a = UserId(stream.below(1_000) as u32);
+            let b = stream.below(1_000) as u32;
+            let q = match stream.below(4) {
+                0 => Query::RegisterUser {
+                    region: db.random_region(&mut stream),
+                },
+                1 => Query::StoreBid {
+                    user: a,
+                    item: ItemId(b),
+                    increment: 1 + stream.below(500) as i64,
+                },
+                2 => Query::StoreComment {
+                    from: a,
+                    to: UserId(b),
+                    item: ItemId(a.0 ^ b),
+                },
+                _ => Query::StoreBuyNow {
+                    buyer: a,
+                    item: ItemId(b),
+                },
+            };
+            db.execute(q, now_s, &mut QueryResult::default());
+        }
+        let mut r = QueryResult::default();
+        for cat in 0..db.scale.categories {
+            let category = CategoryId(cat);
+            let items: Vec<(ItemId, UserId)> = db
+                .items
+                .iter()
+                .filter(|it| it.category == category)
+                .map(|it| (it.id, it.seller))
+                .collect();
+            let mut index = Vec::new();
+            Database::index_pages(TableId::Items, u64::from(cat), &mut index);
+            for page in 0..(items.len() / ITEMS_PER_PAGE + 2) as u32 {
+                let skip = page as usize * ITEMS_PER_PAGE;
+                let shown = items.iter().skip(skip).take(ITEMS_PER_PAGE);
+                let mut pages = index.clone();
+                pages.extend(
+                    shown.map(|&(id, _)| Database::data_page(TableId::Items, u64::from(id.0))),
+                );
+                db.execute(Query::SearchItemsByCategory { category, page }, 0, &mut r);
+                assert_eq!(r.rows, (pages.len() - 2) as u64);
+                assert_eq!(r.pages, pages);
+                for region in (0..db.scale.regions).map(RegionId) {
+                    let mut pages = index.clone();
+                    let mut matched = 0;
+                    for &(id, seller) in items.iter().take(400) {
+                        pages.push(Database::data_page(TableId::Items, u64::from(id.0)));
+                        pages.push(Database::data_page(TableId::Users, u64::from(seller.0)));
+                        if db.users[seller.0 as usize].region == region {
+                            matched += 1;
+                            if matched >= skip + ITEMS_PER_PAGE {
+                                break;
+                            }
+                        }
+                    }
+                    let q = Query::SearchItemsByRegion {
+                        category,
+                        region,
+                        page,
+                    };
+                    db.execute(q, 0, &mut r);
+                    assert_eq!(r.rows, matched.min(ITEMS_PER_PAGE) as u64);
+                    assert_eq!(r.pages, pages);
+                }
+            }
+        }
+
+        // Enough items that one category outgrows the 400-row scan limit.
+        let scale = DbScale {
+            active_items: 2_000,
+            ..DbScale::small()
+        };
+        let mut db = Database::generate(scale, &mut SimRng::new(13));
+        let bid = Query::StoreBid {
+            user: UserId(1),
+            item: ItemId(2),
+            increment: 10,
+        };
+        db.execute(bid, 0, &mut r);
+        let scan = Query::SearchItemsByRegion {
+            category: CategoryId(0),
+            region: RegionId(0),
+            page: 1_000,
+        };
+        db.execute(scan, 0, &mut r);
+        assert_eq!(r.pages.len(), 2 + 2 * 400);
+        let get = Query::GetItem { item: ItemId(3) };
+        db.execute(get, 0, &mut r);
+        let mut fresh = QueryResult::default();
+        db.execute(get, 0, &mut fresh);
+        assert_eq!(r, fresh);
     }
 
     #[test]

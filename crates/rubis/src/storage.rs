@@ -12,6 +12,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// InnoDB default page size.
 pub const PAGE_BYTES: u64 = 16 * 1024;
 
+/// The split between a table's two page spaces: page numbers below it
+/// are data pages (row storage, numbered from 0 by [`page_of`]), page
+/// numbers from it up are B-tree index pages, numbered from the root at
+/// `INDEX_PAGE_BASE` itself.
+pub const INDEX_PAGE_BASE: u64 = 1 << 40;
+
 /// Identifies a table within the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum TableId {
@@ -70,10 +76,10 @@ pub enum Access {
     MissDirtyEvict,
 }
 
-/// Multiplicative hasher for the pool's and cache's keys: a fixed
-/// function (no per-process seed) that costs one multiply per 8-byte
-/// word. The keys come from the simulation, never from outside input,
-/// and neither map's iteration order is observed.
+/// Multiplicative hasher for the query cache's keys: a fixed function
+/// (no per-process seed) that costs one multiply per 8-byte word. The
+/// keys come from the simulation, never from outside input, and the
+/// map's iteration order is never observed.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -106,7 +112,10 @@ struct Frame {
 
 /// A page-granularity LRU buffer pool with dirty-page tracking.
 ///
-/// Every access is O(1). A map gives each resident page its frame; the
+/// Every access is O(1) and touches no hash. The page directory gives
+/// each resident page its frame: per table, one slot array for data
+/// pages indexed by page number and one for B-tree index pages indexed
+/// by `page - INDEX_PAGE_BASE`, where slot 0 means "not resident". The
 /// frames, one per page of capacity, and the sentinel frame 0 form a
 /// circular list whose `next` from 0 is the least and `prev` the most
 /// recently used frame, free frames first. A hit relinks its frame as
@@ -116,10 +125,23 @@ struct Frame {
 pub struct BufferPool {
     capacity_pages: usize,
     frames: Vec<Frame>,
-    frame_of: KeyMap<PageRef, u32>,
+    /// Frame of each page, indexed by `[table][space][slot]` (see
+    /// [`directory_slot`]); 0 where the page is not resident.
+    directory: [[Vec<u32>; 2]; 7],
+    resident_pages: usize,
     hits: u64,
     misses: u64,
     dirty_evictions: u64,
+}
+
+/// A page's place in the pool's directory: the page space (0 for data
+/// pages, 1 for index pages) and the slot within it.
+fn directory_slot(page: u64) -> (usize, usize) {
+    if page < INDEX_PAGE_BASE {
+        (0, page as usize)
+    } else {
+        (1, (page - INDEX_PAGE_BASE) as usize)
+    }
 }
 
 impl BufferPool {
@@ -139,7 +161,8 @@ impl BufferPool {
         BufferPool {
             capacity_pages,
             frames,
-            frame_of: KeyMap::with_capacity_and_hasher(capacity_pages, Default::default()),
+            directory: Default::default(),
+            resident_pages: 0,
             hits: 0,
             misses: 0,
             dirty_evictions: 0,
@@ -153,30 +176,45 @@ impl BufferPool {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.frame_of.len()
+        self.resident_pages
     }
 
     /// Resident bytes (for memory accounting).
     pub fn resident_bytes(&self) -> u64 {
-        self.frame_of.len() as u64 * PAGE_BYTES
+        self.resident_pages as u64 * PAGE_BYTES
     }
 
     /// Access a page; `write` marks it dirty. Returns what happened.
+    ///
+    /// The directory grows on demand, so its memory is O(largest page
+    /// touched) in each table's data and index space: four bytes per
+    /// page number up to the largest data page, and per page above
+    /// [`INDEX_PAGE_BASE`] up to the largest index page.
     pub fn access(&mut self, page: PageRef, write: bool) -> Access {
-        if let Some(&f) = self.frame_of.get(&page) {
+        let (space, slot) = directory_slot(page.page);
+        let dir = &mut self.directory[page.table as usize][space];
+        let f = dir.get(slot).copied().unwrap_or(0);
+        if f != 0 {
             self.hits += 1;
             self.frames[f as usize].dirty |= write;
             self.make_mru(f);
             return Access::Hit;
         }
         self.misses += 1;
+        if slot >= dir.len() {
+            dir.resize(slot + 1, 0);
+        }
         let f = self.frames[0].next;
+        dir[slot] = f;
         let frame = &mut self.frames[f as usize];
         let victim_dirty = std::mem::replace(&mut frame.dirty, write);
-        if let Some(victim) = frame.page.replace(page) {
-            self.frame_of.remove(&victim);
+        match frame.page.replace(page) {
+            Some(victim) => {
+                let (space, slot) = directory_slot(victim.page);
+                self.directory[victim.table as usize][space][slot] = 0;
+            }
+            None => self.resident_pages += 1,
         }
-        self.frame_of.insert(page, f);
         self.make_mru(f);
         if victim_dirty {
             self.dirty_evictions += 1;
@@ -320,6 +358,15 @@ mod tests {
         assert_eq!(page_of(0, 160), 0);
         assert_eq!(page_of(102, 160), 0); // 102*160 = 16320 < 16384
         assert_eq!(page_of(103, 160), 1);
+    }
+
+    #[test]
+    fn directory_splits_page_spaces_at_index_base() {
+        assert_eq!(directory_slot(0), (0, 0));
+        let last_data = INDEX_PAGE_BASE - 1;
+        assert_eq!(directory_slot(last_data), (0, last_data as usize));
+        assert_eq!(directory_slot(INDEX_PAGE_BASE), (1, 0));
+        assert_eq!(directory_slot(INDEX_PAGE_BASE + 512), (1, 512));
     }
 
     #[test]

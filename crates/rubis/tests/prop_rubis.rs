@@ -2,7 +2,9 @@
 
 use cloudchar_rubis::db::{Database, MySqlConfig, MySqlServer, Query};
 use cloudchar_rubis::schema::{DbScale, ItemId, RegionId, UserId};
-use cloudchar_rubis::storage::{Access, BufferPool, PageRef, QueryCache, TableId, PAGE_BYTES};
+use cloudchar_rubis::storage::{
+    Access, BufferPool, PageRef, QueryCache, TableId, INDEX_PAGE_BASE, PAGE_BYTES,
+};
 use cloudchar_rubis::transition::{Mix, NextAction, TransitionTable};
 use cloudchar_rubis::ClientPopulation;
 use cloudchar_rubis::WorkloadMix;
@@ -242,6 +244,44 @@ proptest! {
         for mix in [Mix::Browsing, Mix::Bidding] {
             prop_assert!(TransitionTable::for_mix(mix).validate().is_ok());
         }
+    }
+}
+
+proptest! {
+    /// The pool's page directory stays exact LRU over sparse page
+    /// numbers in both page spaces: data pages scattered over 0..2^16,
+    /// index pages over the same range above `INDEX_PAGE_BASE`, and the
+    /// first index page `INDEX_PAGE_BASE` itself. Each access draws from
+    /// a small set of such pages, so they hit, evict and write back.
+    #[test]
+    fn buffer_pool_matches_reference_lru_on_sparse_pages(
+        pages in proptest::collection::vec((0usize..7, 0u64..1 << 16, 0u8..3), 1..40),
+        accesses in proptest::collection::vec((0usize..40, any::<bool>()), 1..400),
+        cap_pages in 1u64..17,
+    ) {
+        let pages: Vec<PageRef> = pages
+            .iter()
+            .map(|&(table, page, space)| PageRef {
+                table: TableId::ALL[table],
+                page: match space {
+                    0 => page,
+                    1 => INDEX_PAGE_BASE + page,
+                    _ => INDEX_PAGE_BASE,
+                },
+            })
+            .collect();
+        let mut bp = BufferPool::new(cap_pages * PAGE_BYTES);
+        let mut reference = ReferenceLru {
+            capacity: cap_pages as usize,
+            pages: Vec::new(),
+            stats: (0, 0, 0),
+        };
+        for &(i, write) in &accesses {
+            let page = pages[i % pages.len()];
+            prop_assert_eq!(bp.access(page, write), reference.access(page, write));
+            prop_assert_eq!(bp.resident_pages(), reference.pages.len());
+        }
+        prop_assert_eq!(bp.stats(), reference.stats);
     }
 }
 

@@ -87,7 +87,8 @@ impl<W> Engine<W> {
     pub fn peek_next_time(&mut self) -> Option<SimTime> {
         loop {
             let (time_ns, seq) = self.queue.peek()?;
-            if self.cancelled.contains(&seq) {
+            // Fault-free runs never cancel: skip the set's hash then.
+            if !self.cancelled.is_empty() && self.cancelled.contains(&seq) {
                 let _ = self.queue.pop();
                 self.cancelled.remove(&seq);
                 continue;
@@ -162,7 +163,7 @@ impl<W> Engine<W> {
 
     fn pop_next(&mut self) -> Option<Entry<W>> {
         while let Some((time_ns, seq, action)) = self.queue.pop() {
-            if self.cancelled.remove(&seq) {
+            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
                 continue; // skip cancelled
             }
             return Some(Entry {
