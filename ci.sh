@@ -35,7 +35,7 @@ cargo bench -p cloudchar-bench --bench analysis -- --smoke
 echo "==> clients bench smoke (cohort wheel: >=10x fewer generator events per tick at 100k)"
 cargo bench -p cloudchar-bench --bench clients -- --smoke
 
-echo "==> shard bench smoke (fleet100 golden fingerprint + counters at jobs 1 and 4, >1.5x critical-path headroom)"
+echo "==> shard bench smoke (fleet100 golden fingerprint + counters, >1.5x critical-path headroom)"
 cargo bench -p cloudchar-bench --bench shard -- --smoke
 
 echo "==> trace bench smoke (>=4x compression, round-trip fingerprint, out-of-core fig CSVs byte-equal)"
@@ -44,7 +44,7 @@ cargo bench -p cloudchar-bench --bench trace -- --smoke
 echo "==> online bench smoke (incremental per-tick update >=10x batch recompute at W=600, 1e-9 oracle parity)"
 cargo bench -p cloudchar-bench --bench online -- --smoke
 
-echo "==> differential harness (run vs run_opts golden hashes, fleet goldens at jobs 1 and 2)"
+echo "==> differential harness (run vs run_opts golden hashes, fleet goldens)"
 cargo test -q --release -p cloudchar-core --test shard_equiv
 
 echo "==> fleet smoke (100k-client cohort run, release, wall-clock budget)"

@@ -1,5 +1,5 @@
-//! Sharded-engine benchmark: single-run parallelism across physical
-//! hosts.
+//! Sharded-engine benchmark: the conservative windowed scheduler
+//! against the single-queue oracle.
 //!
 //! Two topologies are measured, both through `core::fleet`:
 //!
@@ -9,28 +9,22 @@
 //!   session population.
 //!
 //! Each topology runs under the single-queue oracle and under the
-//! windowed conservative runner at `--jobs` 1/2/4/8, asserting the
-//! fingerprints are byte-identical before any timing is reported. Two
-//! speedups are recorded:
-//!
-//! * **measured wall** — honest wall-clock ratio on *this* machine.
-//!   On a single-core container every worker thread shares one CPU, so
-//!   the measured ratio mostly prices the synchronization overhead,
-//!   not the parallelism.
-//! * **ideal (critical-path) speedup** — `units / critical_units` from
-//!   the runner's own counters: the speedup a zero-overhead execution
-//!   of the same round schedule with one worker per shard would
-//!   achieve. It is the same at every `--jobs`, machine-independent,
-//!   and bounded by the conservative lookahead (the 5 ms
-//!   client↔server link), not by the host's core count.
+//! windowed runner, asserting the fingerprints are byte-identical
+//! before any timing is reported. Besides the two wall times, the
+//! **ideal (critical-path) speedup** is recorded: `units /
+//! critical_units` from the runner's own counters, the speedup a
+//! zero-overhead execution of the same round schedule with one worker
+//! per shard would achieve. It is machine-independent and bounded by
+//! the conservative lookahead (the 5 ms client↔server link); no
+//! parallel executor realizes it.
 //!
 //! Run `cargo bench -p cloudchar-bench --bench shard` for the criterion
 //! groups, `-- --record` to print the `results/BENCH_shard.json`
 //! payload, or `-- --smoke` for the CI gate: the 100-host fleet
-//! reproduces its golden fingerprint and counters at jobs 1 and 4, and
-//! its ideal speedup clears 1.5x.
+//! reproduces its golden fingerprint and counters, and its ideal
+//! speedup clears 1.5x.
 
-use cloudchar_core::{run_fleet, run_fleet_mode, FleetConfig, FleetResult};
+use cloudchar_core::{run_fleet, FleetConfig, FleetResult};
 use cloudchar_simcore::RunMode;
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -46,10 +40,10 @@ fn topologies() -> [(&'static str, FleetConfig); 2] {
 /// Minimum wall time of `reps` runs, plus the last result.
 fn time_fleet(cfg: &FleetConfig, mode: RunMode, reps: u32) -> (u128, FleetResult) {
     let mut best = u128::MAX;
-    let mut last = run_fleet_mode(cfg, mode); // warm: heap + page faults
+    let mut last = run_fleet(cfg, mode); // warm: heap + page faults
     for _ in 0..reps {
         let t = Instant::now();
-        last = black_box(run_fleet_mode(cfg, mode));
+        last = black_box(run_fleet(cfg, mode));
         best = best.min(t.elapsed().as_nanos());
     }
     (best, last)
@@ -60,13 +54,12 @@ fn bench_fleet(c: &mut Criterion) {
         let group_name = format!("shard/{name}");
         let mut group = c.benchmark_group(group_name.as_str());
         group.sample_size(10);
-        group.bench_function("single_queue", |b| {
-            b.iter(|| black_box(run_fleet_mode(&cfg, RunMode::SingleQueue).completed))
-        });
-        for jobs in [1usize, 4] {
-            let label = format!("windowed_jobs{jobs}");
-            group.bench_function(label.as_str(), |b| {
-                b.iter(|| black_box(run_fleet(&cfg, jobs).completed))
+        for (label, mode) in [
+            ("single_queue", RunMode::SingleQueue),
+            ("windowed", RunMode::Windowed),
+        ] {
+            group.bench_function(label, |b| {
+                b.iter(|| black_box(run_fleet(&cfg, mode).completed))
             });
         }
         group.finish();
@@ -78,45 +71,33 @@ fn record() {
     println!("{{");
     println!("  \"cores\": {cores},");
     println!(
-        "  \"note\": \"wall times are from this machine ({cores} core(s)); with a single core the windowed jobs>1 rows price synchronization overhead, not parallelism. ideal_speedup = units/critical_units is the machine-independent ceiling of the round schedule with one worker per shard (the same at every jobs value), limited by the 5 ms channel lookahead.\","
+        "  \"note\": \"best-of-3 wall times on this machine ({cores} core(s)); both modes run on one thread. ideal_speedup = units/critical_units is the machine-independent ceiling of the round schedule with one worker per shard, limited by the 5 ms channel lookahead; no parallel executor realizes it.\","
     );
     let topos = topologies();
     for (k, (name, cfg)) in topos.iter().enumerate() {
         let reps = 3;
         let (oracle_ns, oracle) = time_fleet(cfg, RunMode::SingleQueue, reps);
+        let (windowed_ns, r) = time_fleet(cfg, RunMode::Windowed, reps);
         let fp = oracle.fingerprint();
-        print!(
-            "  \"{name}\": {{ \"hosts\": {}, \"shards\": {}, \"sessions\": {}, \"duration_s\": {:.0}, \"single_queue_ns\": {oracle_ns}, \"windowed_ns\": {{",
-            cfg.hosts(),
-            cfg.pods + 1,
-            cfg.base.clients,
-            cfg.base.duration.as_secs_f64()
+        assert_eq!(
+            r.fingerprint(),
+            fp,
+            "{name}: windowed run diverged from the single-queue oracle"
         );
-        let mut stats = None;
-        for (j, jobs) in [1usize, 2, 4, 8].iter().enumerate() {
-            let (ns, r) = time_fleet(cfg, RunMode::Windowed { jobs: *jobs }, reps);
-            assert_eq!(
-                r.fingerprint(),
-                fp,
-                "{name}: jobs={jobs} diverged from the single-queue oracle"
-            );
-            if *jobs == 4 {
-                stats = Some((ns, r.stats));
-            }
-            let comma = if j < 3 { ", " } else { "" };
-            print!("\"{jobs}\": {ns}{comma}");
-        }
-        let (wall4_ns, s) = stats.take().unwrap_or_else(|| unreachable!("jobs=4 ran"));
+        let s = r.stats;
         let ideal = s.units as f64 / s.critical_units.max(1) as f64;
         let comma = if k + 1 < topos.len() { "," } else { "" };
         println!(
-            " }}, \"fingerprint\": \"{fp:#018x}\", \"completed\": {}, \"rounds\": {}, \"units\": {}, \"critical_units\": {}, \"messages\": {}, \"ideal_speedup\": {ideal:.2}, \"wall_speedup_4\": {:.2} }}{comma}",
+            "  \"{name}\": {{ \"hosts\": {}, \"shards\": {}, \"sessions\": {}, \"duration_s\": {:.0}, \"single_queue_ns\": {oracle_ns}, \"windowed_ns\": {windowed_ns}, \"fingerprint\": \"{fp:#018x}\", \"completed\": {}, \"rounds\": {}, \"units\": {}, \"critical_units\": {}, \"messages\": {}, \"ideal_speedup\": {ideal:.2} }}{comma}",
+            cfg.hosts(),
+            cfg.pods + 1,
+            cfg.base.clients,
+            cfg.base.duration.as_secs_f64(),
             oracle.completed,
             s.rounds,
             s.units,
             s.critical_units,
             s.messages,
-            oracle_ns as f64 / wall4_ns as f64,
         );
     }
     println!("}}");
@@ -124,31 +105,23 @@ fn record() {
 
 fn smoke() {
     // The 100-host fleet reproduces its golden fingerprint and runner
-    // counters at jobs 1 and 4, and the round schedule has enough slack
-    // for >1.5x ideal parallelism.
-    let cfg = FleetConfig::fleet100();
-    let serial = run_fleet(&cfg, 1);
-    let parallel = run_fleet(&cfg, 4);
-    for (jobs, r) in [(1, &serial), (4, &parallel)] {
-        assert_eq!(
-            r.fingerprint(),
-            0x65db_bc33_f17a_dc37,
-            "fleet100: jobs={jobs} diverged from the golden fingerprint"
-        );
-        assert_eq!(r.completed, 14536, "fleet100: jobs={jobs} completions");
-        assert_eq!(r.stats.units, 303_054, "fleet100: jobs={jobs} units");
-        assert_eq!(r.stats.rounds, 10080, "fleet100: jobs={jobs} rounds");
-        assert_eq!(r.stats.messages, 29081, "fleet100: jobs={jobs} messages");
-    }
+    // counters, and the round schedule has enough slack for >1.5x
+    // ideal parallelism.
+    let r = run_fleet(&FleetConfig::fleet100(), RunMode::Windowed);
     assert_eq!(
-        serial.stats.critical_units, parallel.stats.critical_units,
-        "fleet100: critical_units depends on the worker count"
+        r.fingerprint(),
+        0x65db_bc33_f17a_dc37,
+        "fleet100: diverged from the golden fingerprint"
     );
-    let s = &parallel.stats;
+    assert_eq!(r.completed, 14536, "fleet100: completions");
+    assert_eq!(r.stats.units, 303_054, "fleet100: units");
+    assert_eq!(r.stats.rounds, 10080, "fleet100: rounds");
+    assert_eq!(r.stats.messages, 29081, "fleet100: messages");
+    let s = &r.stats;
     let ideal = s.units as f64 / s.critical_units.max(1) as f64;
     println!(
-        "shard smoke: fleet100 fingerprint {:#018x} at jobs 1 and 4, ideal speedup {ideal:.2}x",
-        serial.fingerprint()
+        "shard smoke: fleet100 fingerprint {:#018x}, ideal speedup {ideal:.2}x",
+        r.fingerprint()
     );
     assert!(
         ideal > 1.5,

@@ -11,19 +11,20 @@
 //! cargo run --release -p cloudchar-bench --bin repro -- characterize --full --jobs 8
 //! cargo run --release -p cloudchar-bench --bin repro -- --fast --faults plan.json fig1
 //! cargo run --release -p cloudchar-bench --bin repro -- --fast --clients 100000 fig1
-//! cargo run --release -p cloudchar-bench --bin repro -- fleet --hosts 100 --jobs 4
+//! cargo run --release -p cloudchar-bench --bin repro -- fleet --hosts 100
 //! cargo run --release -p cloudchar-bench --bin repro -- --trace-out traces fig1 characterize
 //! cargo run --release -p cloudchar-bench --bin repro -- --trace-in traces characterize --jobs 4
 //! cargo run --release -p cloudchar-bench --bin repro -- fleet --hosts 100 --trace-out traces
 //! cargo run --release -p cloudchar-bench --bin repro -- --fast run --online --window 60
-//! cargo run --release -p cloudchar-bench --bin repro -- --fast fleet --online --jobs 4
+//! cargo run --release -p cloudchar-bench --bin repro -- --fast fleet --online
 //! cargo run --release -p cloudchar-bench --bin repro -- run --help
 //! ```
 //!
 //! `fleet` runs the multi-host topology — a generator shard plus one
 //! shard per physical host (`--hosts 13` paper testbed, `--hosts 100`
-//! scale-out) — where `--jobs` parallelism acts across hosts. Each host
-//! runs the same request pipeline as the single-host experiments.
+//! scale-out; no other size) — in conservative lookahead windows on one
+//! thread. Each host runs the same request pipeline as the single-host
+//! experiments.
 //!
 //! `--faults <plan.json|scenario>` injects a fault schedule into every
 //! experiment the run performs. The value is either a path to a
@@ -950,28 +951,21 @@ fn run_cmd(lab: &Lab, online: Option<usize>) {
 
 /// `fleet` — run the multi-host sharded fleet (generator shard + one
 /// shard per physical host) and print its throughput, availability and
-/// parallel-runner statistics. `--hosts 13` is the paper topology,
-/// `--hosts 100` the scale-out configuration; `--jobs` sets the worker
-/// threads; `--faults <spec>` injects the plan into pod 0 only;
-/// `--online` prints live per-pod window profiles.
+/// shard-runner statistics. `cfg` is the preset `--hosts` picked;
+/// `--faults <spec>` injects the plan into pod 0 only; `--online`
+/// prints live per-pod window profiles.
 fn fleet_cmd(
-    hosts: usize,
-    jobs: usize,
+    mut cfg: FleetConfig,
     faults: &Option<String>,
     trace_out: &Option<String>,
     online: Option<usize>,
 ) {
-    let mut cfg = if hosts >= 100 {
-        FleetConfig::fleet100()
-    } else {
-        FleetConfig::paper13()
-    };
     if let Some(spec) = faults {
         cfg.base.faults = resolve_plan(spec, cfg.base.duration.as_secs_f64());
         cfg.fault_pod = Some(0);
     }
     println!(
-        "== Fleet: {} hosts ({} pods + generator), {} sessions, {:.0}s, jobs={jobs} ==",
+        "== Fleet: {} hosts ({} pods + generator), {} sessions, {:.0}s ==",
         cfg.hosts(),
         cfg.pods,
         cfg.base.clients,
@@ -985,7 +979,7 @@ fn fleet_cmd(
             // untraced run without ever holding the store in memory.
             eprintln!("[repro] streaming pod traces → {dir}/podNN.cctr …");
             let r = must(
-                run_fleet_opts(&cfg, jobs, Some(Path::new(dir)), online),
+                run_fleet_opts(&cfg, 1, Some(Path::new(dir)), online),
                 "fleet trace",
             );
             let trace = must(TraceDir::open(Path::new(dir)), "open fleet trace");
@@ -994,7 +988,7 @@ fn fleet_cmd(
             (r, fp)
         }
         None => {
-            let r = must(run_fleet_opts(&cfg, jobs, None, online), "fleet run");
+            let r = must(run_fleet_opts(&cfg, 1, None, online), "fleet run");
             let fp = r.fingerprint();
             (r, fp)
         }
@@ -1067,12 +1061,16 @@ fn print_help(topic: Option<&str>) -> ! {
             println!();
             println!("Usage: repro [flags] fleet [--hosts N]");
             println!();
-            println!("  --hosts <N>            13 = paper testbed, >=100 = scale-out");
+            println!("  --hosts <N>            13 = paper testbed (default), 100 = scale-out;");
+            println!("                         any other value is an error");
             println!("  --online [--window W]  live per-pod online profiles (podNN/host)");
             println!("  --trace-out <dir>      stream one <dir>/podNN.cctr per pod");
             println!("  --trace-in <dir>       (not applicable: fleet always executes)");
             println!("  --clients <N>          accepted for symmetry with run");
             println!("  --faults <spec>        inject the plan into pod 0 only");
+            println!("  --jobs <N>             no effect here: the fleet runs its windowed");
+            println!("                         rounds on one thread; --jobs only bounds the");
+            println!("                         characterize and sweep pools");
             println!();
             println!("{HELP_COMMON}");
         }
@@ -1169,7 +1167,7 @@ fn main() {
     let mut window: usize = 60;
     let mut faults: Option<String> = None;
     let mut clients: Option<u32> = None;
-    let mut hosts: usize = 13;
+    let mut fleet = FleetConfig::paper13();
     let mut trace_out: Option<String> = None;
     let mut trace_in: Option<String> = None;
     let mut cmds: Vec<String> = Vec::new();
@@ -1186,7 +1184,16 @@ fn main() {
         } else if let Some(f) = take_value(&arg, "--faults", &mut it) {
             faults = Some(f);
         } else if let Some(h) = take_count(&arg, "--hosts", &mut it) {
-            hosts = h;
+            fleet = match h {
+                13 => FleetConfig::paper13(),
+                100 => FleetConfig::fleet100(),
+                _ => {
+                    eprintln!(
+                        "[repro] --hosts must be 13 (paper testbed) or 100 (scale-out), got {h}"
+                    );
+                    std::process::exit(2);
+                }
+            };
         } else if let Some(d) = take_value(&arg, "--trace-out", &mut it) {
             trace_out = Some(d);
         } else if let Some(d) = take_value(&arg, "--trace-in", &mut it) {
@@ -1275,7 +1282,7 @@ fn main() {
     // `fleet` is opt-in too: the multi-host topology is its own scale.
     if cmds.iter().any(|c| c == "fleet") {
         let online = online_flag.then_some(window);
-        fleet_cmd(hosts, jobs, &lab.faults, &trace_out, online);
+        fleet_cmd(fleet, &lab.faults, &trace_out, online);
     }
     if want("fault-roundtrip") {
         fault_roundtrip_cmd();

@@ -236,8 +236,29 @@ fn fast_fleet_online_prefixes_pod_hosts() {
     assert!(stdout.contains("pod00/web-vm"), "{stdout}");
     assert!(stdout.contains("pod03/dom0"), "{stdout}");
     // Live profiling must not perturb the simulation: the fingerprint
-    // line is still printed (pinned byte-identical by the fleet tests).
-    assert!(stdout.contains("fingerprint 0x"), "{stdout}");
+    // line carries the paper13 golden.
+    assert!(
+        stdout.contains("fingerprint 0x5e2e3f367b039350"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn fleet_rejects_host_counts_without_a_preset() {
+    // Only the 13-host paper testbed and the 100-host scale-out exist;
+    // any other size must fail loudly instead of running 13 hosts.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--hosts", "50", "fleet"])
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("repro runs");
+    assert_eq!(out.status.code(), Some(2), "--hosts 50 must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("13") && stderr.contains("100"),
+        "error must name both presets\n{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no fleet may run on a bad --hosts");
 }
 
 #[test]

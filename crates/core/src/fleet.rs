@@ -4,7 +4,8 @@
 //! paper's testbed: one physical server, both RUBiS tiers on it. The
 //! fleet scales that out the way the production-like follow-up work
 //! does — many identical serving hosts behind one client population —
-//! and it is where single-run `--jobs` parallelism becomes real:
+//! partitioned into shards that advance in conservative lookahead
+//! windows:
 //!
 //! * **shard 0** is the client/generator shard: it owns the whole
 //!   [`ClientCohort`], every think timer, and the end-to-end latency
@@ -476,9 +477,10 @@ fn build_pod(cfg: &FleetConfig, index: u32, master: &SimRng) -> PodShard {
     PodShard { engine, world }
 }
 
-/// Run a fleet under an explicit [`RunMode`] (tests use
-/// [`RunMode::SingleQueue`] as the equivalence oracle).
-pub fn run_fleet_mode(cfg: &FleetConfig, mode: RunMode) -> FleetResult {
+/// Run a fleet under `mode`: [`RunMode::Windowed`] is the production
+/// scheduler, [`RunMode::SingleQueue`] the equivalence oracle tests
+/// compare it against.
+pub fn run_fleet(cfg: &FleetConfig, mode: RunMode) -> FleetResult {
     cfg.validate().expect("invalid fleet config");
     // With no trace writers attached the runner cannot produce an I/O
     // error; the deferred-error slot stays empty by construction.
@@ -494,10 +496,12 @@ pub fn run_fleet_mode(cfg: &FleetConfig, mode: RunMode) -> FleetResult {
 /// `online_window` arms live sliding-window profiling per pod (the
 /// result's `online` report carries `podNN/`-prefixed snapshots). All
 /// combinations are valid; neither option changes the simulation, its
-/// counters, or the replay fingerprint.
+/// counters, or the replay fingerprint. The run uses
+/// [`RunMode::Windowed`]; `_jobs` is accepted for source compatibility
+/// and has no effect.
 pub fn run_fleet_opts(
     cfg: &FleetConfig,
-    jobs: usize,
+    _jobs: usize,
     trace_dir: Option<&std::path::Path>,
     online_window: Option<usize>,
 ) -> std::io::Result<FleetResult> {
@@ -520,8 +524,7 @@ pub fn run_fleet_opts(
         }
         None => None,
     };
-    let mode = RunMode::Windowed { jobs: jobs.max(1) };
-    let (result, trace_err) = run_fleet_inner(cfg, mode, writers, online_window);
+    let (result, trace_err) = run_fleet_inner(cfg, RunMode::Windowed, writers, online_window);
     match trace_err {
         Some(e) => Err(e),
         None => Ok(result),
@@ -641,11 +644,6 @@ fn run_fleet_inner(
     (result, trace_err)
 }
 
-/// Run a fleet with `jobs` worker threads (1 = serial windowed rounds).
-pub fn run_fleet(cfg: &FleetConfig, jobs: usize) -> FleetResult {
-    run_fleet_mode(cfg, RunMode::Windowed { jobs: jobs.max(1) })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,7 +659,7 @@ mod tests {
 
     #[test]
     fn fleet_serves_requests_on_every_pod() {
-        let r = run_fleet(&tiny(), 1);
+        let r = run_fleet(&tiny(), RunMode::Windowed);
         assert!(r.completed > 20, "completed {}", r.completed);
         assert_eq!(r.failed, 0);
         assert!(r.response_time_mean_s > 0.0);
@@ -680,24 +678,11 @@ mod tests {
     #[test]
     fn fleet_modes_are_byte_identical() {
         let cfg = tiny();
-        let oracle = run_fleet_mode(&cfg, RunMode::SingleQueue);
-        let serial = run_fleet(&cfg, 1);
-        let parallel = run_fleet(&cfg, 4);
-        assert_eq!(oracle.fingerprint(), serial.fingerprint(), "jobs=1");
-        assert_eq!(oracle.fingerprint(), parallel.fingerprint(), "jobs=4");
-        assert_eq!(oracle.completed, parallel.completed);
-        assert!(parallel.stats.rounds > 0, "{:?}", parallel.stats);
-        // The critical path is a property of the round schedule, not of
-        // how many workers executed it (jobs=2 puts two of the three
-        // shards on one worker).
-        let shared = run_fleet(&cfg, 2);
-        assert_eq!(oracle.fingerprint(), shared.fingerprint(), "jobs=2");
-        for (jobs, r) in [(2, &shared), (4, &parallel)] {
-            assert_eq!(
-                serial.stats.critical_units, r.stats.critical_units,
-                "critical_units at jobs=1 vs jobs={jobs}"
-            );
-        }
+        let oracle = run_fleet(&cfg, RunMode::SingleQueue);
+        let windowed = run_fleet(&cfg, RunMode::Windowed);
+        assert_eq!(oracle.fingerprint(), windowed.fingerprint());
+        assert_eq!(oracle.completed, windowed.completed);
+        assert!(windowed.stats.rounds > 0, "{:?}", windowed.stats);
     }
 
     #[test]
@@ -719,7 +704,7 @@ mod tests {
 
     #[test]
     fn critical_path_shows_parallel_headroom() {
-        let r = run_fleet(&tiny(), 4);
+        let r = run_fleet(&tiny(), RunMode::Windowed);
         assert!(r.stats.critical_units > 0);
         let speedup = r.stats.units as f64 / r.stats.critical_units as f64;
         assert!(

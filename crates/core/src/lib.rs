@@ -56,7 +56,7 @@ pub use compare::{
 pub use config::{Deployment, ExperimentConfig};
 pub use experiment::{run, run_opts, ExperimentResult, RunOptions};
 pub use faults::{install_plan, scenario, scenario_report, PhaseDelta, ScenarioReport, SCENARIOS};
-pub use fleet::{run_fleet, run_fleet_mode, run_fleet_opts, FleetConfig, FleetMsg, FleetResult};
+pub use fleet::{run_fleet, run_fleet_opts, FleetConfig, FleetMsg, FleetResult};
 pub use online::{OnlineBank, OnlineReport, OnlineSnapshot};
 pub use phys::{HostIoPolicy, PhysPlatform};
 pub use platform::{Platform, Tier, TierLoad};

@@ -63,10 +63,10 @@
 //!   state (non-test `&mut self` methods in `hw`/`xen`/the engine) must
 //!   contain an `audit::` invariant check or a registered suppression.
 //! * **CL013** — shard-logic files (code that runs *inside* a shard of
-//!   the parallel sharded engine) must not share state across shards:
+//!   the sharded engine) must not share state across shards:
 //!   no `Arc`, `Rc`, locks, cells, atomics, `static mut`, or
 //!   `thread_local!`. Cross-shard communication happens only through
-//!   typed channel messages, so parallel replay stays byte-identical.
+//!   typed channel messages, so windowed replay stays byte-identical.
 //! * **CL014** — streaming-path files (the chunk codec and the
 //!   out-of-core trace consumers) must not materialize a whole series:
 //!   no `.to_vec()`, no `collect::<Vec<f64>>`, no
@@ -139,7 +139,7 @@ pub const ORACLE_DEF_FILES: [&str; 2] = [
     "crates/analysis/src/lag.rs",
 ];
 
-/// Files whose code runs inside a shard of the parallel sharded engine
+/// Files whose code runs inside a shard of the sharded engine
 /// and must therefore own its state exclusively (CL013): no shared-state
 /// primitives — cross-shard traffic is channel messages only. Fleet
 /// pods run the single-host request pipeline and fault interpreter, so

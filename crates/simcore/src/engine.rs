@@ -20,7 +20,7 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-type Action<W> = Box<dyn FnOnce(&mut Engine<W>, &mut W) + Send>;
+type Action<W> = Box<dyn FnOnce(&mut Engine<W>, &mut W)>;
 
 struct Entry<W> {
     time: SimTime,
@@ -131,7 +131,7 @@ impl<W> Engine<W> {
     pub fn schedule_at(
         &mut self,
         time: SimTime,
-        action: impl FnOnce(&mut Engine<W>, &mut W) + Send + 'static,
+        action: impl FnOnce(&mut Engine<W>, &mut W) + 'static,
     ) -> EventId {
         assert!(
             time >= self.now,
@@ -149,7 +149,7 @@ impl<W> Engine<W> {
     pub fn schedule_in(
         &mut self,
         delay: SimDuration,
-        action: impl FnOnce(&mut Engine<W>, &mut W) + Send + 'static,
+        action: impl FnOnce(&mut Engine<W>, &mut W) + 'static,
     ) -> EventId {
         let t = self.now + delay;
         self.schedule_at(t, action)
@@ -267,7 +267,7 @@ impl<W> Engine<W> {
         &mut self,
         start: SimTime,
         interval: SimDuration,
-        tick: impl FnMut(&mut Engine<W>, &mut W) -> bool + Send + 'static,
+        tick: impl FnMut(&mut Engine<W>, &mut W) -> bool + 'static,
     ) -> EventId {
         assert!(
             interval > SimDuration::ZERO,
@@ -281,7 +281,7 @@ impl<W> Engine<W> {
 
 fn periodic_step<W, F>(engine: &mut Engine<W>, world: &mut W, interval: SimDuration, mut tick: F)
 where
-    F: FnMut(&mut Engine<W>, &mut W) -> bool + Send + 'static,
+    F: FnMut(&mut Engine<W>, &mut W) -> bool + 'static,
 {
     if tick(engine, world) {
         engine.schedule_in(interval, move |e, w| periodic_step(e, w, interval, tick));

@@ -324,7 +324,7 @@ pub enum FaultPhase {
 /// call `install` at simulation start.
 pub fn install<W, F>(plan: &FaultPlan, engine: &mut Engine<W>, apply: F) -> usize
 where
-    F: Fn(&mut Engine<W>, &mut W, usize, &FaultKind, FaultPhase) + Clone + Send + 'static,
+    F: Fn(&mut Engine<W>, &mut W, usize, &FaultKind, FaultPhase) + Clone + 'static,
 {
     let mut scheduled = 0;
     for (idx, ev) in plan.events.iter().enumerate() {

@@ -19,7 +19,7 @@
 //! * [`engine`] — the event scheduler and clock ([`Engine`]);
 //! * [`wheel`] — batched timer buckets for client populations
 //!   ([`TimerWheel`]);
-//! * [`shard`] — conservative parallel execution over per-host event
+//! * [`shard`] — conservative windowed execution over per-host event
 //!   queues ([`ShardedEngine`]);
 //! * [`fault`] — deterministic fault-injection schedules ([`FaultPlan`]);
 //! * [`stats`] — streaming accumulators ([`Welford`], [`Counter`], …).

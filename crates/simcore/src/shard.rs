@@ -35,14 +35,14 @@
 //!
 //! ## Merge-order rule
 //!
-//! Event order must be a pure function of the plan, never of thread
-//! timing. Every unit has a total-order key `(time, src_shard, seq)`:
+//! Event order must be a pure function of the plan, never of the round
+//! schedule. Every unit has a total-order key `(time, src_shard, seq)`:
 //! local events use the owning shard's id and its engine sequence,
 //! cross-shard messages use the *sender's* id and a per-sender send
 //! counter. A shard drains its inbox and local queue as one merged
 //! stream under that key — a message from shard `j` at time `t` is
 //! delivered before shard `i`'s own events at `t` iff `j < i` — so
-//! replay is byte-identical at any worker count. An audited `floor`
+//! windowed replay is byte-identical to the oracle's. An audited `floor`
 //! per shard asserts no straggler: once a shard has executed past `t`,
 //! a delivery timestamped below `t` is a protocol violation
 //! (`shard.merge_order`), and sends below the declared channel latency
@@ -52,7 +52,6 @@ use crate::audit;
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::mpsc;
 
 /// Identifier of a shard: its index in the [`Topology`].
 pub type ShardId = u32;
@@ -277,9 +276,9 @@ impl<M> ShardCtx<'_, M> {
 /// and exchange nothing with other shards except typed messages through
 /// [`ShardCtx::send`] (lint rule CL013 enforces this statically for the
 /// fleet worlds).
-pub trait ShardLogic: Send {
+pub trait ShardLogic {
     /// Typed payload carried on this shard's channels.
-    type Msg: Send;
+    type Msg;
 
     /// Timestamp of the earliest pending local event, if any.
     fn next_local(&mut self) -> Option<SimTime>;
@@ -303,13 +302,9 @@ pub enum RunMode {
     /// minimal `(time, src, seq)` unit's timestamp, exactly as one
     /// merged calendar queue would.
     SingleQueue,
-    /// Conservative lookahead windows; `jobs ≤ 1` runs the rounds
-    /// serially, `jobs > 1` spreads shards over that many persistent
-    /// worker threads. Replay is byte-identical across all values.
-    Windowed {
-        /// Worker-thread count (clamped to the shard count).
-        jobs: usize,
-    },
+    /// Conservative lookahead windows: each round drains every shard
+    /// that clears its horizon, in shard-id order on the calling thread.
+    Windowed,
 }
 
 /// Counters describing how a sharded run executed. Replay-affecting
@@ -323,10 +318,9 @@ pub struct ShardStats {
     /// Local events plus message deliveries executed.
     pub units: u64,
     /// Critical-path units: per round, the largest unit count any one
-    /// shard executed, summed over the run — the same figure in every
-    /// mode and at every worker count. `units / critical_units` is the
-    /// speedup an ideal zero-overhead execution of the same round
-    /// schedule achieves with one worker per shard — a
+    /// shard executed, summed over the run. `units / critical_units` is
+    /// the speedup an ideal zero-overhead execution of the same round
+    /// schedule would achieve with one worker per shard — a
     /// machine-independent ceiling the benches report alongside
     /// measured wall-clock.
     pub critical_units: u64,
@@ -472,22 +466,6 @@ fn global_min(keys: &[Option<(SimTime, ShardId)>]) -> Option<(SimTime, ShardId, 
         .min()
 }
 
-/// One round's instructions for a worker: horizons for the shards it
-/// must drain plus deliveries bound for shards it owns. Workers exit
-/// when the command channel hangs up.
-struct Round<M> {
-    work: Vec<(usize, SimTime)>,
-    deliveries: Vec<(usize, InboxItem<M>)>,
-}
-
-struct Reply<M> {
-    out: Vec<Outgoing<M>>,
-    keys: Vec<(usize, Option<(SimTime, ShardId)>)>,
-    units: u64,
-    /// Largest unit count of any one shard this worker drained.
-    shard_max: u64,
-}
-
 /// The sharded runner: owns every shard's [`ShardLogic`], the
 /// [`Topology`], and the undelivered-message heaps, and executes the
 /// conservative protocol in any [`RunMode`].
@@ -550,22 +528,7 @@ impl<S: ShardLogic> ShardedEngine<S> {
     /// matching [`crate::Engine::run_until`]) under `mode`. Returns the
     /// accumulated [`ShardStats`].
     pub fn run(&mut self, end: SimTime, mode: RunMode) -> ShardStats {
-        match mode {
-            RunMode::SingleQueue => self.run_serial(end, true),
-            RunMode::Windowed { jobs } if jobs <= 1 => self.run_serial(end, false),
-            RunMode::Windowed { jobs } => self.run_parallel(end, jobs),
-        }
-        self.stats
-    }
-
-    fn route(&mut self, out: &mut Vec<Outgoing<S::Msg>>) {
-        for o in out.drain(..) {
-            self.stats.messages += 1;
-            self.cells[o.dst as usize].inbox.push(Reverse(o.item));
-        }
-    }
-
-    fn run_serial(&mut self, end: SimTime, force_fallback: bool) {
+        let force_fallback = mode == RunMode::SingleQueue;
         let n = self.cells.len();
         // Exclusive execution cap: units at exactly `end` still run.
         let hard = end.saturating_add(SimDuration::from_nanos(1));
@@ -611,186 +574,15 @@ impl<S: ShardLogic> ShardedEngine<S> {
             }
             self.route(&mut out);
         }
+        self.stats
     }
 
-    fn run_parallel(&mut self, end: SimTime, jobs: usize) {
-        let n = self.cells.len();
-        let jobs = jobs.clamp(1, n);
-        let hard = end.saturating_add(SimDuration::from_nanos(1));
-        let mut keys: Vec<Option<(SimTime, ShardId)>> = (0..n)
-            .map(|i| next_key(i as ShardId, &mut self.cells[i]))
-            .collect();
-        // In-flight deliveries the owning worker has not been handed yet.
-        let mut pending: Vec<Vec<InboxItem<S::Msg>>> = (0..n).map(|_| Vec::new()).collect();
-        let owner: Vec<usize> = (0..n).map(|i| i % jobs).collect();
-        let mut owned: Vec<Vec<usize>> = vec![Vec::new(); jobs];
-        for i in 0..n {
-            owned[owner[i]].push(i);
-        }
-        let topo = &self.topo;
-        let paths = &self.paths;
-        let stats = &mut self.stats;
-        let audit_on = audit::is_enabled();
-        let mut parts: Vec<Vec<(usize, &mut ShardCell<S>)>> =
-            (0..jobs).map(|_| Vec::new()).collect();
-        for (i, cell) in self.cells.iter_mut().enumerate() {
-            parts[i % jobs].push((i, cell));
-        }
-        let reports = std::thread::scope(|scope| {
-            let mut cmd_txs = Vec::with_capacity(jobs);
-            let mut rep_rxs = Vec::with_capacity(jobs);
-            let mut handles = Vec::with_capacity(jobs);
-            for part in parts {
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Round<S::Msg>>();
-                let (rep_tx, rep_rx) = mpsc::channel::<Reply<S::Msg>>();
-                cmd_txs.push(cmd_tx);
-                rep_rxs.push(rep_rx);
-                handles.push(scope.spawn(move || worker(part, topo, audit_on, &cmd_rx, &rep_tx)));
-            }
-            'rounds: loop {
-                let Some((gt, _gs, gi)) = global_min(&keys) else {
-                    break;
-                };
-                if gt > end {
-                    break;
-                }
-                let hz = horizons(paths, n, &keys);
-                let mut work: Vec<Vec<(usize, SimTime)>> = vec![Vec::new(); jobs];
-                let mut any = false;
-                for (i, key) in keys.iter().enumerate() {
-                    let Some((t, _)) = key else { continue };
-                    let b = hz[i].min(hard);
-                    if *t < b {
-                        any = true;
-                        work[owner[i]].push((i, b));
-                    }
-                }
-                if any {
-                    stats.rounds += 1;
-                } else {
-                    let b = gt.saturating_add(SimDuration::from_nanos(1)).min(hard);
-                    work[owner[gi]].push((gi, b));
-                    stats.serial_steps += 1;
-                }
-                let active: Vec<usize> = (0..jobs).filter(|&w| !work[w].is_empty()).collect();
-                for &w in &active {
-                    let mut deliveries = Vec::new();
-                    for &i in &owned[w] {
-                        for item in pending[i].drain(..) {
-                            deliveries.push((i, item));
-                        }
-                    }
-                    let cmd = Round {
-                        work: std::mem::take(&mut work[w]),
-                        deliveries,
-                    };
-                    if cmd_txs[w].send(cmd).is_err() {
-                        break 'rounds; // worker died; scope join reports it
-                    }
-                }
-                // Collect in worker-index order so audit absorption and
-                // stats stay deterministic; message order itself is
-                // already total under (time, src, seq). Key maintenance
-                // is two-pass: apply every worker's fresh keys first,
-                // THEN fold this round's messages in — a worker's
-                // reported key cannot see messages other workers sent to
-                // its shards (those sit in `pending` until next round),
-                // so interleaving overwrite and fold would lose the
-                // message minimum and over-open the next horizons.
-                let mut replies = Vec::with_capacity(active.len());
-                for &w in &active {
-                    let Ok(rep) = rep_rxs[w].recv() else {
-                        break 'rounds;
-                    };
-                    replies.push(rep);
-                }
-                stats.critical_units += replies.iter().map(|r| r.shard_max).max().unwrap_or(0);
-                for rep in &replies {
-                    stats.units += rep.units;
-                    for (i, key) in &rep.keys {
-                        keys[*i] = *key;
-                    }
-                }
-                for rep in replies {
-                    for o in rep.out {
-                        stats.messages += 1;
-                        let dst = o.dst as usize;
-                        let mk = (o.item.time, o.item.src);
-                        keys[dst] = match keys[dst] {
-                            None => Some(mk),
-                            Some(cur) => Some(cur.min(mk)),
-                        };
-                        pending[dst].push(o.item);
-                    }
-                }
-            }
-            drop(cmd_txs); // workers see the hangup and exit
-            let mut reports = Vec::with_capacity(jobs);
-            for h in handles {
-                match h.join() {
-                    Ok(r) => reports.push(r),
-                    Err(e) => std::panic::resume_unwind(e),
-                }
-            }
-            reports
-        });
-        // Undelivered messages past `end` go back to the inboxes so a
-        // later `run` call can continue where this one stopped.
-        for (i, items) in pending.into_iter().enumerate() {
-            for item in items {
-                self.cells[i].inbox.push(Reverse(item));
-            }
-        }
-        if audit_on {
-            for r in reports {
-                audit::absorb(r);
-            }
+    fn route(&mut self, out: &mut Vec<Outgoing<S::Msg>>) {
+        for o in out.drain(..) {
+            self.stats.messages += 1;
+            self.cells[o.dst as usize].inbox.push(Reverse(o.item));
         }
     }
-}
-
-fn worker<S: ShardLogic>(
-    mut part: Vec<(usize, &mut ShardCell<S>)>,
-    topo: &Topology,
-    audit_on: bool,
-    rx: &mpsc::Receiver<Round<S::Msg>>,
-    tx: &mpsc::Sender<Reply<S::Msg>>,
-) -> audit::AuditReport {
-    if audit_on {
-        audit::enable();
-    }
-    while let Ok(Round { work, deliveries }) = rx.recv() {
-        for (shard, item) in deliveries {
-            if let Some((_, cell)) = part.iter_mut().find(|(i, _)| *i == shard) {
-                cell.inbox.push(Reverse(item));
-            }
-        }
-        let mut out = Vec::new();
-        let mut units = 0u64;
-        let mut shard_max = 0u64;
-        for (shard, bound) in work {
-            let Some((_, cell)) = part.iter_mut().find(|(i, _)| *i == shard) else {
-                continue; // unreachable: the runner only routes owned shards
-            };
-            let ran = drain_cell(shard as ShardId, cell, topo, bound, &mut out);
-            units += ran;
-            shard_max = shard_max.max(ran);
-        }
-        let keys = part
-            .iter_mut()
-            .map(|(i, cell)| (*i, next_key(*i as ShardId, cell)))
-            .collect();
-        let reply = Reply {
-            out,
-            keys,
-            units,
-            shard_max,
-        };
-        if tx.send(reply).is_err() {
-            break;
-        }
-    }
-    audit::take_report()
 }
 
 #[cfg(test)]
@@ -909,12 +701,10 @@ mod tests {
         let mut oracle = ping_pong_world(ms(1));
         oracle.run(end, RunMode::SingleQueue);
         let oracle_logs = logs(oracle);
-        for jobs in [1usize, 2] {
-            let mut e = ping_pong_world(ms(1));
-            let stats = e.run(end, RunMode::Windowed { jobs });
-            assert_eq!(logs(e), oracle_logs, "jobs={jobs} diverged from oracle");
-            assert!(stats.messages >= 6, "ping-pong routed {stats:?}");
-        }
+        let mut e = ping_pong_world(ms(1));
+        let stats = e.run(end, RunMode::Windowed);
+        assert_eq!(logs(e), oracle_logs, "windowed diverged from oracle");
+        assert!(stats.messages >= 6, "ping-pong routed {stats:?}");
     }
 
     #[test]
@@ -924,7 +714,7 @@ mod tests {
         oracle.run(end, RunMode::SingleQueue);
         let oracle_logs = logs(oracle);
         let mut e = ping_pong_world(SimDuration::ZERO);
-        let stats = e.run(end, RunMode::Windowed { jobs: 2 });
+        let stats = e.run(end, RunMode::Windowed);
         assert_eq!(logs(e), oracle_logs, "zero lookahead diverged");
         assert!(
             stats.serial_steps > 0,
@@ -940,11 +730,7 @@ mod tests {
         let mut topo = Topology::new(3);
         topo.link(1, 0, ms(1));
         topo.link(2, 0, ms(1));
-        for mode in [
-            RunMode::SingleQueue,
-            RunMode::Windowed { jobs: 1 },
-            RunMode::Windowed { jobs: 3 },
-        ] {
+        for mode in [RunMode::SingleQueue, RunMode::Windowed] {
             let mut e = ShardedEngine::new(
                 topo.clone(),
                 vec![
@@ -986,7 +772,7 @@ mod tests {
         // conservative windows, not serial fallbacks.
         let end = SimTime::from_secs(1);
         let mut e = ping_pong_world(ms(10));
-        let stats = e.run(end, RunMode::Windowed { jobs: 1 });
+        let stats = e.run(end, RunMode::Windowed);
         assert!(stats.rounds > 0, "no windowed rounds: {stats:?}");
         assert_eq!(stats.serial_steps, 0, "lookahead was ignored: {stats:?}");
     }
@@ -1000,7 +786,7 @@ mod tests {
             .at(tms(1), Ev::Note("x"))
             .at(tms(2), Ev::Note("y"));
         let mut e = ShardedEngine::new(topo, vec![s]);
-        let stats = e.run(SimTime::from_secs(1), RunMode::Windowed { jobs: 1 });
+        let stats = e.run(SimTime::from_secs(1), RunMode::Windowed);
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.units, 2);
     }
@@ -1012,7 +798,7 @@ mod tests {
             .at(tms(10), Ev::Note("in"))
             .at(tms(11), Ev::Note("out"));
         let mut e = ShardedEngine::new(topo, vec![s]);
-        e.run(tms(10), RunMode::Windowed { jobs: 1 });
+        e.run(tms(10), RunMode::Windowed);
         let all = logs(e);
         let got: Vec<&str> = all[0].iter().map(|(_, s)| s.as_str()).collect();
         assert_eq!(got, vec!["local:in"]);
@@ -1031,7 +817,7 @@ mod tests {
             },
         );
         let mut e = ShardedEngine::new(topo, vec![s0, TestShard::new()]);
-        e.run(SimTime::from_secs(1), RunMode::Windowed { jobs: 1 });
+        e.run(SimTime::from_secs(1), RunMode::Windowed);
     }
 
     #[test]
@@ -1048,7 +834,7 @@ mod tests {
             },
         );
         let mut e = ShardedEngine::new(topo, vec![s0, TestShard::new()]);
-        e.run(SimTime::from_secs(1), RunMode::Windowed { jobs: 1 });
+        e.run(SimTime::from_secs(1), RunMode::Windowed);
     }
 
     #[test]
@@ -1084,14 +870,7 @@ mod tests {
             e.run(SimTime::from_secs(1), mode);
             logs(e)
         };
-        assert_eq!(
-            run(RunMode::SingleQueue),
-            run(RunMode::Windowed { jobs: 1 })
-        );
-        assert_eq!(
-            run(RunMode::SingleQueue),
-            run(RunMode::Windowed { jobs: 3 })
-        );
+        assert_eq!(run(RunMode::SingleQueue), run(RunMode::Windowed));
     }
 
     #[test]
@@ -1110,7 +889,7 @@ mod tests {
                 },
             );
             let mut e = ShardedEngine::new(topo2, vec![s0, TestShard::new()]);
-            e.run(SimTime::from_secs(1), RunMode::Windowed { jobs: 1 });
+            e.run(SimTime::from_secs(1), RunMode::Windowed);
         });
         assert!(caught.is_err(), "undersized delay must panic");
         let report = audit::take_report();

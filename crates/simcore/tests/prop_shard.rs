@@ -2,10 +2,10 @@
 //! topologies (random channels, random latencies including zero) and
 //! arbitrary cross-shard message patterns, the conservative windowed
 //! executor must reproduce the single-queue oracle's execution order
-//! exactly — at any worker count — and the lookahead horizons must
-//! never admit a straggler (checked through the `shard.merge_order`
-//! audit invariant). Zero-lookahead topologies must degrade to correct
-//! serial order instead of deadlocking.
+//! exactly, and the lookahead horizons must never admit a straggler
+//! (checked through the `shard.merge_order` audit invariant).
+//! Zero-lookahead topologies must degrade to correct serial order
+//! instead of deadlocking.
 
 use cloudchar_simcore::shard::{RunMode, ShardCtx, ShardId, ShardLogic, ShardedEngine, Topology};
 use cloudchar_simcore::{audit, SimDuration, SimTime};
@@ -213,20 +213,16 @@ fn arb_plan(zero_lookahead: bool) -> impl Strategy<Value = Plan> {
 }
 
 proptest! {
-    /// Arbitrary message patterns: the windowed runner (serial and
-    /// parallel) reproduces the single-queue oracle's per-shard unit
-    /// order exactly, and the audited run admits no straggler and no
-    /// lookahead breach.
+    /// Arbitrary message patterns: the windowed runner reproduces the
+    /// single-queue oracle's per-shard unit order exactly, and the
+    /// audited run admits no straggler and no lookahead breach.
     #[test]
     fn windowed_matches_single_queue_oracle(plan in arb_plan(false)) {
         let (oracle, oracle_clean) = run_logs(&plan, RunMode::SingleQueue, true);
         prop_assert!(oracle_clean, "oracle run violated shard invariants");
-        let (serial, serial_clean) = run_logs(&plan, RunMode::Windowed { jobs: 1 }, true);
-        prop_assert!(serial_clean, "windowed jobs=1 admitted a straggler");
-        prop_assert_eq!(&serial, &oracle, "jobs=1 diverged from oracle");
-        let (parallel, par_clean) = run_logs(&plan, RunMode::Windowed { jobs: 3 }, true);
-        prop_assert!(par_clean, "windowed jobs=3 admitted a straggler");
-        prop_assert_eq!(&parallel, &oracle, "jobs=3 diverged from oracle");
+        let (windowed, windowed_clean) = run_logs(&plan, RunMode::Windowed, true);
+        prop_assert!(windowed_clean, "windowed run admitted a straggler");
+        prop_assert_eq!(&windowed, &oracle, "windowed diverged from oracle");
     }
 
     /// Zero-lookahead topologies: every channel latency (and message
@@ -236,12 +232,9 @@ proptest! {
     #[test]
     fn zero_lookahead_degrades_to_serial(plan in arb_plan(true)) {
         let (oracle, _) = run_logs(&plan, RunMode::SingleQueue, false);
-        let (serial, clean1) = run_logs(&plan, RunMode::Windowed { jobs: 1 }, true);
-        prop_assert!(clean1, "zero-lookahead jobs=1 admitted a straggler");
-        prop_assert_eq!(&serial, &oracle, "zero-lookahead jobs=1 diverged");
-        let (parallel, clean2) = run_logs(&plan, RunMode::Windowed { jobs: 4 }, true);
-        prop_assert!(clean2, "zero-lookahead jobs=4 admitted a straggler");
-        prop_assert_eq!(&parallel, &oracle, "zero-lookahead jobs=4 diverged");
+        let (windowed, clean) = run_logs(&plan, RunMode::Windowed, true);
+        prop_assert!(clean, "zero-lookahead windowed run admitted a straggler");
+        prop_assert_eq!(&windowed, &oracle, "zero-lookahead windowed run diverged");
     }
 
     /// The global pop order — every unit tagged `(time, shard)` and
@@ -252,7 +245,7 @@ proptest! {
     #[test]
     fn global_time_order_is_preserved(plan in arb_plan(false)) {
         let (oracle, _) = run_logs(&plan, RunMode::SingleQueue, false);
-        let (parallel, _) = run_logs(&plan, RunMode::Windowed { jobs: 2 }, false);
+        let (windowed, _) = run_logs(&plan, RunMode::Windowed, false);
         let flatten = |logs: &Vec<Vec<(u64, String)>>| {
             let mut all: Vec<(u64, u32, usize, String)> = Vec::new();
             for (shard, log) in logs.iter().enumerate() {
@@ -263,6 +256,6 @@ proptest! {
             all.sort();
             all
         };
-        prop_assert_eq!(flatten(&parallel), flatten(&oracle));
+        prop_assert_eq!(flatten(&windowed), flatten(&oracle));
     }
 }

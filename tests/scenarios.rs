@@ -15,7 +15,7 @@ use cloudchar_core::{
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
-use cloudchar_simcore::{FaultPlan, SimDuration};
+use cloudchar_simcore::{FaultPlan, RunMode, SimDuration};
 
 fn faulted_cfg(name: &str, seed: u64) -> ExperimentConfig {
     let mut c = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
@@ -194,7 +194,8 @@ fn fleet_db_crash_is_isolated_to_its_pod() {
     // Crash the MySQL domain of pod 0 only. The conservative protocol
     // must not let that stall the neighbor shards: every sampling
     // window inside the crash still completes requests on pods 1 and 2,
-    // and pod 0 comes back after its clear event — at any worker count.
+    // and pod 0 comes back after its clear event — exactly as under the
+    // single-queue oracle.
     let mut cfg = FleetConfig::paper13();
     cfg.pods = 3;
     cfg.base.clients = 90;
@@ -202,14 +203,13 @@ fn fleet_db_crash_is_isolated_to_its_pod() {
     cfg.base.rampup = SimDuration::from_secs(5);
     cfg.base.faults = scenario("db-crash", 60.0).expect("built-in scenario");
     cfg.fault_pod = Some(0);
-    let serial = run_fleet(&cfg, 1);
-    let parallel = run_fleet(&cfg, 4);
+    let oracle = run_fleet(&cfg, RunMode::SingleQueue);
+    let r = run_fleet(&cfg, RunMode::Windowed);
     assert_eq!(
-        serial.fingerprint(),
-        parallel.fingerprint(),
-        "fleet jobs=1 vs jobs=4 diverged under faults"
+        oracle.fingerprint(),
+        r.fingerprint(),
+        "windowed fleet diverged from the single-queue oracle under faults"
     );
-    let r = parallel;
     assert!(r.failed > 0, "crash produced no failures");
     // db-crash: MySQL domain down 24 s..33 s (+2 s reboot). Sample
     // window i covers (2i, 2i+2] seconds, so 13..16 sit fully inside.

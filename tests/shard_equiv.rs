@@ -7,8 +7,8 @@
 //! same completion and event counts. Observers never perturb a run.
 //!
 //! Fleet: the sharded multi-host runner must reproduce the pinned
-//! fingerprints and runner counters at every worker count, with and
-//! without a fault plan on pod 0.
+//! fingerprints and runner counters, with and without a fault plan on
+//! pod 0.
 
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
@@ -17,7 +17,7 @@ use cloudchar_core::{
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
-use cloudchar_simcore::SimDuration;
+use cloudchar_simcore::{RunMode, SimDuration};
 
 /// Hash every sampled series of a result (the determinism-suite FNV).
 fn fingerprint(r: &ExperimentResult) -> u64 {
@@ -146,58 +146,67 @@ fn db_crash_scenario_is_observer_invariant() {
     assert_eq!(a.deltas.len(), b.deltas.len(), "phase-delta rows drifted");
 }
 
-/// Run a fleet at `jobs = 1` and `jobs = 2` and assert both runs match
-/// the pinned fingerprint and runner counters.
-fn assert_fleet_golden(
-    label: &str,
-    cfg: &FleetConfig,
+/// The counters a fleet golden pins besides its fingerprint.
+struct FleetGolden {
     fp: u64,
     completed: u64,
     units: u64,
     rounds: u64,
+    serial_steps: u64,
+    critical_units: u64,
     messages: u64,
-) {
-    for jobs in [1, 2] {
-        let r = run_fleet(cfg, jobs);
-        assert_eq!(
-            r.fingerprint(),
-            fp,
-            "{label}: jobs={jobs} fingerprint {:#018x} diverged from the golden",
-            r.fingerprint()
-        );
-        assert_eq!(r.completed, completed, "{label}: jobs={jobs} completions");
-        assert_eq!(r.stats.units, units, "{label}: jobs={jobs} units");
-        assert_eq!(r.stats.rounds, rounds, "{label}: jobs={jobs} rounds");
-        assert_eq!(r.stats.messages, messages, "{label}: jobs={jobs} messages");
-    }
+}
+
+/// Run a fleet windowed and assert it matches the pinned fingerprint
+/// and runner counters.
+fn assert_fleet_golden(label: &str, cfg: &FleetConfig, want: FleetGolden) {
+    let r = run_fleet(cfg, RunMode::Windowed);
+    assert_eq!(
+        r.fingerprint(),
+        want.fp,
+        "{label}: fingerprint {:#018x} diverged from the golden",
+        r.fingerprint()
+    );
+    assert_eq!(r.completed, want.completed, "{label}: completions");
+    let s = r.stats;
+    assert_eq!(s.units, want.units, "{label}: units");
+    assert_eq!(s.rounds, want.rounds, "{label}: rounds");
+    assert_eq!(s.serial_steps, want.serial_steps, "{label}: serial steps");
+    assert_eq!(
+        s.critical_units, want.critical_units,
+        "{label}: critical units"
+    );
+    assert_eq!(s.messages, want.messages, "{label}: messages");
 }
 
 #[test]
 fn paper13_fleet_golden_is_pinned() {
     let cfg = FleetConfig::paper13();
-    assert_fleet_golden(
-        "paper13",
-        &cfg,
-        0x5e2e_3f36_7b03_9350,
-        4236,
-        79844,
-        13162,
-        8475,
-    );
+    let want = FleetGolden {
+        fp: 0x5e2e_3f36_7b03_9350,
+        completed: 4236,
+        units: 79844,
+        rounds: 13162,
+        serial_steps: 0,
+        critical_units: 32676,
+        messages: 8475,
+    };
+    assert_fleet_golden("paper13", &cfg, want);
 }
 
 #[test]
 fn fleet100_golden_is_pinned() {
     let cfg = FleetConfig::fleet100();
-    assert_fleet_golden(
-        "fleet100",
-        &cfg,
-        0x65db_bc33_f17a_dc37,
-        14536,
-        303_054,
-        10080,
-        29081,
-    );
+    let want = FleetGolden {
+        fp: 0x65db_bc33_f17a_dc37,
+        completed: 14536,
+        units: 303_054,
+        rounds: 10080,
+        serial_steps: 0,
+        critical_units: 47536,
+        messages: 29081,
+    };
+    assert_fleet_golden("fleet100", &cfg, want);
 }
 
 #[test]
@@ -215,7 +224,7 @@ fn fault_pod_fingerprints_are_pinned() {
         cfg.base.faults =
             scenario(name, cfg.base.duration.as_secs_f64()).expect("built-in scenario");
         cfg.fault_pod = Some(0);
-        let fp = run_fleet(&cfg, 1).fingerprint();
+        let fp = run_fleet(&cfg, RunMode::Windowed).fingerprint();
         assert_eq!(fp, want, "{name}: pod-0 fleet fingerprint {fp:#018x}");
     }
 }

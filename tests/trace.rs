@@ -14,7 +14,7 @@ use cloudchar_core::{
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkReader, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
 use cloudchar_rubis::WorkloadMix;
-use cloudchar_simcore::{SimDuration, SimTime};
+use cloudchar_simcore::{RunMode, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -259,9 +259,9 @@ fn traced_fleet_matches_untraced_fingerprint() {
     cfg.pods = 2;
     cfg.base.clients = 120;
     cfg.base.duration = SimDuration::from_secs(60);
-    let untraced = run_fleet(&cfg, 2);
+    let untraced = run_fleet(&cfg, RunMode::Windowed);
     let dir = tmp("fleet");
-    let traced = run_fleet_opts(&cfg, 2, Some(&dir), None).expect("traced fleet");
+    let traced = run_fleet_opts(&cfg, 1, Some(&dir), None).expect("traced fleet");
     assert_eq!(untraced.completed, traced.completed);
     assert_eq!(untraced.failed, traced.failed);
     let trace = TraceDir::open(&dir).expect("open fleet trace");
