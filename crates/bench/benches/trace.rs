@@ -25,7 +25,7 @@
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
     full_characterize, full_characterize_trace, run, run_opts, write_csv_streaming, Deployment,
-    ExperimentConfig, ExperimentResult, ResourceCursor, RunOptions, TraceDir,
+    ExperimentConfig, ExperimentResult, ResourceCursor, RunOptions, Samples, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
@@ -310,8 +310,10 @@ fn smoke() {
             let want = csv_in_memory(&browse, &bid, res, host);
             let out = tmp("fig_stream.csv");
             let mut cols = [
-                ResourceCursor::new(&browse_trace, res, host, 2.0).expect("open browse cursor"),
-                ResourceCursor::new(&bid_trace, res, host, 2.0).expect("open bid cursor"),
+                ResourceCursor::new(&Samples::Trace(&browse_trace), res, host, 2.0)
+                    .expect("open browse cursor"),
+                ResourceCursor::new(&Samples::Trace(&bid_trace), res, host, 2.0)
+                    .expect("open bid cursor"),
             ];
             write_csv_streaming(&out, "t_s,browse,bid", &mut cols, 2.0).expect("stream csv");
             let got = std::fs::read(&out).expect("read streamed csv");

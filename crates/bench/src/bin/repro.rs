@@ -80,17 +80,20 @@
 
 use cloudchar_analysis::{summarize, Resource};
 use cloudchar_core::{
-    default_jobs, full_characterize_trace, paper_values, q1_tier_lag, q2_ram_jumps, q3_disk_cv,
-    ratio_report, run, run_fleet_opts, run_opts, run_seeds_jobs, scenario, scenario_report,
-    write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
-    ResourceCursor, RunOptions, TraceDir, SCENARIOS,
+    default_jobs, paper_values, q1_tier_lag, q2_ram_jumps, q3_disk_cv, ratio_report, run,
+    run_fleet_opts, run_opts, run_seeds_jobs, scenario, scenario_report, write_csv_streaming,
+    Deployment, ExperimentConfig, ExperimentResult, FleetConfig, ResourceCursor, RunOptions,
+    Samples, TraceDir, FNV_OFFSET, SCENARIOS,
 };
 use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
+use cloudchar_simcore::stats::Moments;
 use cloudchar_simcore::FaultPlan;
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::path::Path;
+
+/// Sampling interval of every figure series, in seconds.
+const DT_S: f64 = 2.0;
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Key {
@@ -98,6 +101,21 @@ enum Key {
     VirtBid,
     PhysBrowse,
     PhysBid,
+}
+
+impl Key {
+    /// The four paper runs, in presentation order.
+    const ALL: [Key; 4] = [Key::VirtBrowse, Key::VirtBid, Key::PhysBrowse, Key::PhysBid];
+
+    /// The run's label, and the file stem of its trace.
+    fn names(self) -> (&'static str, &'static str) {
+        match self {
+            Key::VirtBrowse => ("virtualized/browsing", "virt_browse"),
+            Key::VirtBid => ("virtualized/bidding", "virt_bid"),
+            Key::PhysBrowse => ("non-virtualized/browsing", "phys_browse"),
+            Key::PhysBid => ("non-virtualized/bidding", "phys_bid"),
+        }
+    }
 }
 
 struct Lab {
@@ -110,8 +128,8 @@ struct Lab {
     /// `--trace-in <dir>`: skip the runs and analyze traces written by
     /// an earlier `--trace-out` invocation.
     trace_in: Option<String>,
-    /// Keys already traced this invocation (under `--trace-out`).
-    traced: Vec<Key>,
+    /// Opened traces (under `--trace-out`/`--trace-in`).
+    traces: HashMap<Key, TraceDir>,
     cache: HashMap<Key, ExperimentResult>,
 }
 
@@ -144,12 +162,7 @@ impl Lab {
     fn get(&mut self, key: Key) -> &ExperimentResult {
         if !self.cache.contains_key(&key) {
             let cfg = self.config(key);
-            let label = match key {
-                Key::VirtBrowse => "virtualized/browsing",
-                Key::VirtBid => "virtualized/bidding",
-                Key::PhysBrowse => "non-virtualized/browsing",
-                Key::PhysBid => "non-virtualized/bidding",
-            };
+            let label = key.names().0;
             eprintln!(
                 "[repro] running {label}: {} clients × {:.0}s …",
                 cfg.clients,
@@ -168,37 +181,44 @@ impl Lab {
         &self.cache[&key]
     }
 
-    /// Out-of-core mode: figures and characterization stream from
-    /// on-disk chunk traces instead of resident stores.
-    fn trace_mode(&self) -> bool {
-        self.trace_in.is_some() || self.trace_out.is_some()
+    /// All four paper runs, resident (each run on first use).
+    fn all(&mut self) -> [&ExperimentResult; 4] {
+        for key in Key::ALL {
+            self.get(key);
+        }
+        Key::ALL.map(|key| &self.cache[&key])
     }
 
-    /// On-disk trace file for `key`: reuse an existing one under
-    /// `--trace-in`, or run the experiment now with the streaming chunk
-    /// writer under `--trace-out`. `None` when neither flag is set.
-    fn trace(&mut self, key: Key) -> Option<String> {
-        let name = match key {
-            Key::VirtBrowse => "virt_browse",
-            Key::VirtBid => "virt_bid",
-            Key::PhysBrowse => "phys_browse",
-            Key::PhysBid => "phys_bid",
+    /// The trace directory figures and characterization read from, if
+    /// `--trace-out` or `--trace-in` is set.
+    fn trace_dir(&self) -> Option<&String> {
+        self.trace_in.as_ref().or(self.trace_out.as_ref())
+    }
+
+    /// Make `key`'s samples available to [`Lab::samples`]: run it
+    /// resident, or — under `--trace-out` — run it with the streaming
+    /// chunk writer and open the trace, or — under `--trace-in` — open
+    /// the trace an earlier `--trace-out` wrote.
+    fn load(&mut self, key: Key) {
+        let Some(dir) = self.trace_dir().cloned() else {
+            self.get(key);
+            return;
         };
-        if let Some(dir) = &self.trace_in {
-            let path = format!("{dir}/{name}.cctr");
+        if self.traces.contains_key(&key) {
+            return;
+        }
+        let name = key.names().1;
+        let path = format!("{dir}/{name}.cctr");
+        if self.trace_in.is_some() {
             if !Path::new(&path).is_file() {
                 eprintln!(
                     "[repro] --trace-in: {path} not found (write it first with --trace-out {dir})"
                 );
                 std::process::exit(2);
             }
-            return Some(path);
-        }
-        let dir = self.trace_out.clone()?;
-        let path = format!("{dir}/{name}.cctr");
-        if !self.traced.contains(&key) {
+        } else {
             let cfg = self.config(key);
-            must(std::fs::create_dir_all(&dir), "create trace dir");
+            must(std::fs::create_dir_all(&dir), &format!("create {dir}"));
             eprintln!(
                 "[repro] running {name} with streaming trace → {path}: {} clients × {:.0}s …",
                 cfg.clients,
@@ -216,13 +236,22 @@ impl Lab {
                 result.completed,
                 result.events
             );
-            self.traced.push(key);
         }
-        Some(path)
+        let trace = must(TraceDir::open(Path::new(&path)), &format!("open {path}"));
+        self.traces.insert(key, trace);
+    }
+
+    /// The samples of a key [`Lab::load`] made available: its trace, or
+    /// its resident result.
+    fn samples(&self, key: Key) -> Samples<'_> {
+        match self.traces.get(&key) {
+            Some(trace) => Samples::Trace(trace),
+            None => self.cache[&key].samples(),
+        }
     }
 }
 
-/// Unwrap a trace I/O result or exit(2) with a user-facing message.
+/// Unwrap an I/O result or exit(2) with a message naming what failed.
 fn must<T>(r: std::io::Result<T>, what: &str) -> T {
     match r {
         Ok(v) => v,
@@ -233,101 +262,31 @@ fn must<T>(r: std::io::Result<T>, what: &str) -> T {
     }
 }
 
-fn write_csv(path: &str, header: &str, cols: &[&[f64]], dt_s: f64) {
-    std::fs::create_dir_all("results").expect("create results dir");
-    let mut f = std::fs::File::create(path).expect("create csv");
-    writeln!(f, "{header}").unwrap();
-    let n = cols.iter().map(|c| c.len()).max().unwrap_or(0);
-    for i in 0..n {
-        let mut row = format!("{:.1}", (i + 1) as f64 * dt_s);
-        for c in cols {
-            row.push_str(&format!(",{:.3}", c.get(i).copied().unwrap_or(f64::NAN)));
-        }
-        writeln!(f, "{row}").unwrap();
+/// One panel's stats line: mean, max and coefficient of variation of
+/// the derived series, folded one sample at a time (the `summarize`
+/// semantics: "(empty)" for an empty or non-finite series).
+fn series_stats(label: &str, src: &Samples<'_>, resource: Resource, host: &str) -> String {
+    let mut cur = must(
+        ResourceCursor::new(src, resource, host, DT_S),
+        "open series",
+    );
+    let mut m = Moments::EMPTY;
+    while let Some(v) = must(cur.next_value(), "read series") {
+        m.push(v);
     }
-    eprintln!("[repro]   wrote {path}");
-}
-
-/// Streaming counterpart of `series_stats`: one pass over the derived
-/// chunks, never materializing the series.
-fn series_stats_streaming(
-    label: &str,
-    trace: &TraceDir,
-    resource: Resource,
-    host: &str,
-    dt: f64,
-) -> String {
-    let mut cur = must(ResourceCursor::new(trace, resource, host, dt), "open trace");
-    let (mut n, mut sum, mut sumsq) = (0u64, 0.0f64, 0.0f64);
-    let mut max = f64::NEG_INFINITY;
-    while let Some(v) = must(cur.next_value(), "decode trace chunk") {
-        n += 1;
-        sum += v;
-        sumsq += v * v;
-        max = max.max(v);
-    }
-    if n == 0 {
+    if m.count == 0 || !m.all_finite {
         return format!("{label}: (empty)");
     }
-    let mean = sum / n as f64;
-    let var = (sumsq / n as f64 - mean * mean).max(0.0);
-    let cv = if mean != 0.0 { var.sqrt() / mean } else { 0.0 };
-    format!("{label:<26} mean {mean:>12.4e}  max {max:>12.4e}  cv {cv:>5.2}")
-}
-
-/// Render one figure's panels straight off the on-disk traces: stats
-/// and CSV rows stream one decoded chunk at a time per column.
-fn figure_traced(
-    lab: &mut Lab,
-    fig: u8,
-    resource: Resource,
-    hosts: &[&str],
-    panels: &[&str],
-    keys: (Key, Key),
-) {
-    let dt = 2.0;
-    let bp = lab.trace(keys.0).expect("trace mode");
-    let qp = lab.trace(keys.1).expect("trace mode");
-    let browse = must(TraceDir::open(Path::new(&bp)), "open browse trace");
-    let bid = must(TraceDir::open(Path::new(&qp)), "open bid trace");
-    std::fs::create_dir_all("results").expect("create results dir");
-    for (i, panel) in panels.iter().enumerate() {
-        let host = hosts[i];
-        let label = format!("{panel} browse");
-        println!(
-            "  {}",
-            series_stats_streaming(&label, &browse, resource, host, dt)
-        );
-        let label = format!("{panel} bid");
-        println!(
-            "  {}",
-            series_stats_streaming(&label, &bid, resource, host, dt)
-        );
-        let path = format!("results/fig{fig}_{host}.csv");
-        let mut cols = [
-            must(
-                ResourceCursor::new(&browse, resource, host, dt),
-                "open trace",
-            ),
-            must(ResourceCursor::new(&bid, resource, host, dt), "open trace"),
-        ];
-        must(
-            write_csv_streaming(Path::new(&path), "t_s,browse,bid", &mut cols, dt),
-            "stream csv",
-        );
-        eprintln!("[repro]   wrote {path}");
-    }
-    println!();
-}
-
-fn series_stats(label: &str, xs: &[f64]) -> String {
-    match summarize(xs) {
-        None => format!("{label}: (empty)"),
-        Some(s) => format!(
-            "{label:<26} mean {:>12.4e}  max {:>12.4e}  cv {:>5.2}",
-            s.mean, s.max, s.cv
-        ),
-    }
+    let mean = m.sum / m.count as f64;
+    let cv = if mean.is_normal() {
+        m.std_dev() / mean
+    } else {
+        0.0
+    };
+    format!(
+        "{label:<26} mean {mean:>12.4e}  max {:>12.4e}  cv {cv:>5.2}",
+        m.max
+    )
 }
 
 /// Resolve a `--faults` spec: a built-in scenario name, or a path to a
@@ -443,12 +402,12 @@ fn scenarios_cmd(fast: bool) {
 /// must serialize, parse back identical, and keep its fingerprint.
 fn fault_roundtrip_cmd() {
     println!("== Fault-plan serialization round trip ==");
-    std::fs::create_dir_all("results").expect("create results dir");
+    must(std::fs::create_dir_all("results"), "create results/");
     for name in SCENARIOS {
         let plan = scenario(name, 120.0).expect("built-in scenario");
         let json = serde_json::to_string(&plan).expect("serialize plan");
         let path = format!("results/faultplan_{name}.json");
-        std::fs::write(&path, &json).expect("write plan");
+        must(std::fs::write(&path, &json), &format!("write {path}"));
         let back: FaultPlan = serde_json::from_str(&json).expect("parse plan");
         assert_eq!(plan, back, "{name}: round trip changed the plan");
         assert_eq!(
@@ -499,104 +458,58 @@ fn table1() {
     println!();
 }
 
-/// One virtualized figure (1–4): three panels × two mixes.
-fn virt_figure(lab: &mut Lab, fig: u8) {
-    let (resource, unit) = match fig {
-        1 => (Resource::Cpu, "cycles/2s"),
-        2 => (Resource::Ram, "MB"),
-        3 => (Resource::Disk, "KB/2s"),
-        4 => (Resource::Net, "KB/2s"),
-        _ => unreachable!(),
+/// Figure `fig`: 1–4 virtualized (three panels), 5–8 non-virtualized
+/// (two panels), each panel browse vs bid — stats lines on stdout and
+/// the series in `results/fig{fig}_{host}.csv`.
+fn figure(lab: &mut Lab, fig: u8) {
+    let i = usize::from(fig - 1);
+    let resource = Resource::ALL[i % 4];
+    let unit = ["cycles/2s", "MB", "KB/2s", "KB/2s"][i % 4];
+    let (deployment, keys, hosts, panels): (_, _, &[&str], &[&str]) = if fig <= 4 {
+        (
+            "virtualized",
+            [Key::VirtBrowse, Key::VirtBid],
+            &["web-vm", "mysql-vm", "dom0"],
+            &["Web+App. (VM)", "Mysql (VM)", "Domain0"],
+        )
+    } else {
+        (
+            "non-virtualized",
+            [Key::PhysBrowse, Key::PhysBid],
+            &["web-pm", "mysql-pm"],
+            &["Web+App. (PM)", "Mysql (PM)"],
+        )
     };
-    println!("== Figure {fig}: {resource:?} ({unit}) — virtualized, browse vs bid ==");
-    let hosts = ["web-vm", "mysql-vm", "dom0"];
-    let panels = ["Web+App. (VM)", "Mysql (VM)", "Domain0"];
-    if lab.trace_mode() {
-        figure_traced(
-            lab,
-            fig,
-            resource,
-            &hosts,
-            &panels,
-            (Key::VirtBrowse, Key::VirtBid),
+    println!("== Figure {fig}: {resource:?} ({unit}) — {deployment}, browse vs bid ==");
+    lab.load(keys[0]);
+    lab.load(keys[1]);
+    let (browse, bid) = (lab.samples(keys[0]), lab.samples(keys[1]));
+    must(std::fs::create_dir_all("results"), "create results/");
+    for (host, panel) in hosts.iter().zip(panels) {
+        println!(
+            "  {}",
+            series_stats(&format!("{panel} browse"), &browse, resource, host)
         );
-        return;
-    }
-    let dt = 2.0;
-    let browse: Vec<Vec<f64>> = {
-        let r = lab.get(Key::VirtBrowse);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    let bid: Vec<Vec<f64>> = {
-        let r = lab.get(Key::VirtBid);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    for (i, panel) in panels.iter().enumerate() {
-        println!("  {}", series_stats(&format!("{panel} browse"), &browse[i]));
-        println!("  {}", series_stats(&format!("{panel} bid"), &bid[i]));
-        write_csv(
-            &format!("results/fig{fig}_{}.csv", hosts[i]),
-            "t_s,browse,bid",
-            &[&browse[i], &bid[i]],
-            dt,
+        println!(
+            "  {}",
+            series_stats(&format!("{panel} bid"), &bid, resource, host)
         );
-    }
-    println!();
-}
-
-/// One non-virtualized figure (5–8): two panels × two mixes.
-fn phys_figure(lab: &mut Lab, fig: u8) {
-    let (resource, unit) = match fig {
-        5 => (Resource::Cpu, "cycles/2s"),
-        6 => (Resource::Ram, "MB"),
-        7 => (Resource::Disk, "KB/2s"),
-        8 => (Resource::Net, "KB/2s"),
-        _ => unreachable!(),
-    };
-    println!("== Figure {fig}: {resource:?} ({unit}) — non-virtualized, browse vs bid ==");
-    let hosts = ["web-pm", "mysql-pm"];
-    let panels = ["Web+App. (PM)", "Mysql (PM)"];
-    if lab.trace_mode() {
-        figure_traced(
-            lab,
-            fig,
-            resource,
-            &hosts,
-            &panels,
-            (Key::PhysBrowse, Key::PhysBid),
+        let path = format!("results/fig{fig}_{host}.csv");
+        let mut cols = [
+            must(
+                ResourceCursor::new(&browse, resource, host, DT_S),
+                "open series",
+            ),
+            must(
+                ResourceCursor::new(&bid, resource, host, DT_S),
+                "open series",
+            ),
+        ];
+        must(
+            write_csv_streaming(Path::new(&path), "t_s,browse,bid", &mut cols, DT_S),
+            &format!("write {path}"),
         );
-        return;
-    }
-    let dt = 2.0;
-    let browse: Vec<Vec<f64>> = {
-        let r = lab.get(Key::PhysBrowse);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    let bid: Vec<Vec<f64>> = {
-        let r = lab.get(Key::PhysBid);
-        hosts
-            .iter()
-            .map(|h| r.resource_series(resource, h))
-            .collect()
-    };
-    for (i, panel) in panels.iter().enumerate() {
-        println!("  {}", series_stats(&format!("{panel} browse"), &browse[i]));
-        println!("  {}", series_stats(&format!("{panel} bid"), &bid[i]));
-        write_csv(
-            &format!("results/fig{fig}_{}.csv", hosts[i]),
-            "t_s,browse,bid",
-            &[&browse[i], &bid[i]],
-            dt,
-        );
+        eprintln!("[repro]   wrote {path}");
     }
     println!();
 }
@@ -629,13 +542,8 @@ fn ratios(lab: &mut Lab) {
             net: 0.5 * (a.net + b.net),
         }
     };
-    let (rep_browse, rep_bid) = {
-        let vb = lab.get(Key::VirtBrowse).clone();
-        let vd = lab.get(Key::VirtBid).clone();
-        let pb = lab.get(Key::PhysBrowse).clone();
-        let pd = lab.get(Key::PhysBid).clone();
-        (ratio_report(&vb, &pb), ratio_report(&vd, &pd))
-    };
+    let [vb, vd, pb, pd] = lab.all();
+    let (rep_browse, rep_bid) = (ratio_report(vb, pb), ratio_report(vd, pd));
     println!("R1: front-end vs back-end demand (virtualized, VM level)");
     print_ratio_row(paper_values::R1, avg(rep_browse.r1, rep_bid.r1));
     println!("R2: aggregated VMs vs hypervisor (dom0) view");
@@ -755,12 +663,8 @@ fn ratios_sweep(fast: bool, sweep: usize, jobs: usize) {
 
 fn lag(lab: &mut Lab) {
     println!("== Q1: web→db workload lag (cross-correlation peak) ==");
-    for (key, label) in [
-        (Key::VirtBrowse, "virtualized/browsing"),
-        (Key::VirtBid, "virtualized/bidding"),
-        (Key::PhysBrowse, "non-virtualized/browsing"),
-        (Key::PhysBid, "non-virtualized/bidding"),
-    ] {
+    for key in Key::ALL {
+        let label = key.names().0;
         let r = lab.get(key);
         match q1_tier_lag(r, 10) {
             Some(l) => println!(
@@ -778,12 +682,8 @@ fn lag(lab: &mut Lab) {
 
 fn jumps(lab: &mut Lab) {
     println!("== Q2: RAM level shifts on the front-end (window 15, 40 MB) ==");
-    for (key, label) in [
-        (Key::VirtBrowse, "virtualized/browsing"),
-        (Key::VirtBid, "virtualized/bidding"),
-        (Key::PhysBrowse, "non-virtualized/browsing"),
-        (Key::PhysBid, "non-virtualized/bidding"),
-    ] {
+    for key in Key::ALL {
+        let label = key.names().0;
         let r = lab.get(key);
         let js = q2_ram_jumps(r, 15, 40.0);
         let first = js.first().map(|j| format!("{:.0}s", j.index as f64 * 2.0));
@@ -841,68 +741,48 @@ fn mixes_cmd(fast: bool) {
 }
 
 fn report_cmd(lab: &mut Lab) {
-    let vb = lab.get(Key::VirtBrowse).clone();
-    let vd = lab.get(Key::VirtBid).clone();
-    let pb = lab.get(Key::PhysBrowse).clone();
-    let pd = lab.get(Key::PhysBid).clone();
+    let [virt_browse, virt_bid, phys_browse, phys_bid] = lab.all();
     let report = cloudchar_core::render_report(&cloudchar_core::ReportInputs {
-        virt_browse: &vb,
-        virt_bid: &vd,
-        phys_browse: &pb,
-        phys_bid: &pd,
+        virt_browse,
+        virt_bid,
+        phys_browse,
+        phys_bid,
     });
-    std::fs::create_dir_all("results").expect("create results dir");
-    std::fs::write("results/REPORT.md", &report).expect("write report");
+    must(std::fs::create_dir_all("results"), "create results/");
+    must(
+        std::fs::write("results/REPORT.md", &report),
+        "write results/REPORT.md",
+    );
     eprintln!("[repro]   wrote results/REPORT.md ({} bytes)", report.len());
 }
 
 fn characterize_cmd(lab: &mut Lab, full: bool, jobs: usize) {
-    if lab.trace_mode() {
-        // Trace-backed characterization implies the full catalog: the
-        // on-disk store holds every raw series, and the streaming path
-        // profiles each one with a single series resident per worker.
-        println!("== Workload characterization: full metric catalog (out-of-core) ==");
-        for (key, label) in [
-            (Key::VirtBrowse, "virtualized/browsing"),
-            (Key::VirtBid, "virtualized/bidding"),
-        ] {
-            let path = lab.trace(key).expect("trace mode");
-            let trace = must(TraceDir::open(Path::new(&path)), "open trace");
-            println!("--- {label} ---");
-            let t0 = std::time::Instant::now();
-            let fc = must(full_characterize_trace(&trace, jobs), "characterize trace");
-            eprintln!(
-                "[repro]   profiled {} series out of core on {jobs} worker(s) in {:.2}s",
-                fc.profiles.len(),
-                t0.elapsed().as_secs_f64()
-            );
-            println!("{fc}");
+    // A trace holds every raw series but no transaction counts, so a
+    // trace-backed characterization always profiles the full catalog.
+    let on_disk = lab.trace_dir().is_some();
+    match (full || on_disk, on_disk) {
+        (false, _) => println!("== Workload characterization (resource + transaction level) =="),
+        (true, false) => println!("== Workload characterization: full metric catalog =="),
+        (true, true) => {
+            println!("== Workload characterization: full metric catalog (out-of-core) ==")
         }
-        return;
     }
-    if full {
-        println!("== Workload characterization: full metric catalog ==");
-    } else {
-        println!("== Workload characterization (resource + transaction level) ==");
-    }
-    for (key, label) in [
-        (Key::VirtBrowse, "virtualized/browsing"),
-        (Key::VirtBid, "virtualized/bidding"),
-    ] {
-        let r = lab.get(key).clone();
-        println!("--- {label} ---");
-        if full {
-            let t0 = std::time::Instant::now();
-            let fc = cloudchar_core::full_characterize(&r, jobs);
-            eprintln!(
-                "[repro]   profiled {} series on {jobs} worker(s) in {:.2}s",
-                fc.profiles.len(),
-                t0.elapsed().as_secs_f64()
-            );
-            println!("{fc}");
-        } else {
-            println!("{}", cloudchar_core::characterize_jobs(&r, jobs));
+    for key in [Key::VirtBrowse, Key::VirtBid] {
+        lab.load(key);
+        println!("--- {} ---", key.names().0);
+        if !(full || on_disk) {
+            println!("{}", cloudchar_core::characterize_jobs(lab.get(key), jobs));
+            continue;
         }
+        let t0 = std::time::Instant::now();
+        let fc = must(lab.samples(key).full_characterize(jobs), "characterize");
+        eprintln!(
+            "[repro]   profiled {} series{} on {jobs} worker(s) in {:.2}s",
+            fc.profiles.len(),
+            if on_disk { " out of core" } else { "" },
+            t0.elapsed().as_secs_f64()
+        );
+        println!("{fc}");
     }
 }
 
@@ -983,7 +863,7 @@ fn fleet_cmd(
                 "fleet trace",
             );
             let trace = must(TraceDir::open(Path::new(dir)), "open fleet trace");
-            let h = must(trace.fold_values(0xcbf2_9ce4_8422_2325), "hash fleet trace");
+            let h = must(trace.fold_values(FNV_OFFSET), "hash fleet trace");
             let fp = r.counter_fingerprint(h);
             (r, fp)
         }
@@ -1226,7 +1106,7 @@ fn main() {
         clients,
         trace_out: trace_out.clone(),
         trace_in,
-        traced: Vec::new(),
+        traces: HashMap::new(),
         cache: HashMap::new(),
     };
     let all = cmds.iter().any(|c| c == "all");
@@ -1235,14 +1115,9 @@ fn main() {
     if want("table1") {
         table1();
     }
-    for fig in 1..=4u8 {
+    for fig in 1..=8u8 {
         if want(&format!("fig{fig}")) {
-            virt_figure(&mut lab, fig);
-        }
-    }
-    for fig in 5..=8u8 {
-        if want(&format!("fig{fig}")) {
-            phys_figure(&mut lab, fig);
+            figure(&mut lab, fig);
         }
     }
     if want("ratios") {
@@ -1290,14 +1165,9 @@ fn main() {
 
     // With --faults active, append a fault report per experiment that ran.
     if lab.faults.is_some() {
-        for (key, label) in [
-            (Key::VirtBrowse, "virtualized/browsing"),
-            (Key::VirtBid, "virtualized/bidding"),
-            (Key::PhysBrowse, "non-virtualized/browsing"),
-            (Key::PhysBid, "non-virtualized/bidding"),
-        ] {
+        for key in Key::ALL {
             if let Some(result) = lab.cache.get(&key) {
-                println!("== Fault report: {label} ==");
+                println!("== Fault report: {} ==", key.names().0);
                 print_fault_report(result);
                 println!();
             }

@@ -278,3 +278,79 @@ fn fast_report_writes_markdown() {
     assert!(report.contains("# cloudchar reproduction report"));
     assert!(report.contains("### Figure 8"));
 }
+
+/// A fresh, empty working directory for one test.
+fn fresh_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create test dir");
+    dir
+}
+
+#[test]
+fn unwritable_results_dir_exits_2_naming_the_path() {
+    // `results` is a regular file, so no figure CSV can be written: the
+    // run must fail with a message naming the path, never a panic.
+    let dir = fresh_dir("cloudchar-repro-cli-results-file");
+    std::fs::write(dir.join("results"), b"not a directory").expect("write blocker");
+    let trace_dir = dir.join("traces");
+    let trace_dir = trace_dir.to_str().expect("utf-8 temp dir");
+    for args in [
+        vec!["--fast", "fig1"],
+        vec!["--fast", "--trace-out", trace_dir, "fig1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(&args)
+            .current_dir(&dir)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("results"), "repro {args:?}\n{stderr}");
+        assert!(!stderr.contains("panicked"), "repro {args:?}\n{stderr}");
+    }
+}
+
+#[test]
+fn disk_figures_print_the_same_resident_and_traced() {
+    // Figures 3 and 7 (disk) through both sample backings: the stats
+    // lines on stdout and every CSV byte must match.
+    let resident = fresh_dir("cloudchar-repro-cli-figs-resident");
+    let traced = fresh_dir("cloudchar-repro-cli-figs-traced");
+    let trace_dir = traced.join("traces");
+    let trace_dir = trace_dir.to_str().expect("utf-8 temp dir");
+    let run = |dir: &std::path::Path, args: &[&str]| -> Vec<u8> {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success(), "repro {args:?} failed: {out:?}");
+        out.stdout
+    };
+    let want = run(&resident, &["--fast", "fig3", "fig7"]);
+    let got = run(
+        &traced,
+        &["--fast", "--trace-out", trace_dir, "fig3", "fig7"],
+    );
+    assert!(
+        String::from_utf8_lossy(&want).contains("cv"),
+        "no stats lines printed"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&got),
+        String::from_utf8_lossy(&want),
+        "traced figure stdout diverged from resident"
+    );
+    for csv in [
+        "fig3_web-vm.csv",
+        "fig3_mysql-vm.csv",
+        "fig3_dom0.csv",
+        "fig7_web-pm.csv",
+        "fig7_mysql-pm.csv",
+    ] {
+        let a = std::fs::read(resident.join("results").join(csv)).expect("resident csv");
+        let b = std::fs::read(traced.join("results").join(csv)).expect("traced csv");
+        assert_eq!(a, b, "{csv}: traced bytes diverged from resident");
+    }
+}

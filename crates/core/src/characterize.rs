@@ -16,7 +16,7 @@
 use crate::experiment::ExperimentResult;
 use crate::sweep::par_map_ordered_with;
 use cloudchar_analysis::{find_lag, FitResult, LagResult, Resource, SeriesScratch, Summary};
-use cloudchar_monitor::{catalog, MetricId, Source};
+use cloudchar_monitor::Source;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -180,7 +180,7 @@ pub struct MetricProfile {
 }
 
 /// Full-catalog characterization: every sampled metric of every host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FullCharacterization {
     /// Hosts in presentation order.
     pub hosts: Vec<String>,
@@ -193,47 +193,13 @@ pub struct FullCharacterization {
 
 /// Profile the *entire* metric catalog — every sampled series of every
 /// host, not just the per-resource rollups — on at most `jobs` pooled
-/// worker threads. Output order is host presentation order crossed with
-/// catalog order, independent of the job count.
+/// worker threads: [`crate::Samples::full_characterize`] over the resident
+/// store, the same body `full_characterize_trace` runs off disk. Output
+/// order is host presentation order crossed with catalog order,
+/// independent of the job count.
 pub fn full_characterize(result: &ExperimentResult, jobs: usize) -> FullCharacterization {
-    let c = catalog();
-    let dt_s = result.config.sample_interval.as_secs_f64();
-    let mut tasks: Vec<(&str, MetricId)> = Vec::new();
-    let mut metrics_per_host = Vec::with_capacity(result.hosts.len());
-    for host in &result.hosts {
-        let before = tasks.len();
-        for id in c.ids() {
-            if result.store.get(host, id).is_some() {
-                tasks.push((host, id));
-            }
-        }
-        metrics_per_host.push((host.clone(), tasks.len() - before));
-    }
-    let profiles =
-        par_map_ordered_with(&tasks, jobs, SeriesScratch::new, |scratch, &(host, id)| {
-            let series = result.store.get(host, id)?;
-            scratch.load(&series.values);
-            let (summary, fit, autocorr1, jumps, period) = profile_loaded(scratch, dt_s)?;
-            let def = c.def(id);
-            Some(MetricProfile {
-                host: host.to_string(),
-                metric: def.name.clone(),
-                source: def.source,
-                summary,
-                fit,
-                autocorr1,
-                jumps,
-                period,
-            })
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-    FullCharacterization {
-        hosts: result.hosts.clone(),
-        metrics_per_host,
-        profiles,
-    }
+    // Resident chunks are borrowed slices, so no read can fail.
+    result.samples().full_characterize(jobs).unwrap_or_default()
 }
 
 impl fmt::Display for Characterization {

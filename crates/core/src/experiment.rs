@@ -4,12 +4,13 @@ use crate::config::{Deployment, ExperimentConfig};
 use crate::online::{OnlineBank, OnlineReport};
 use crate::phys::{HostIoPolicy, PhysPlatform};
 use crate::platform::Platform;
+use crate::samples::{ResourceCursor, Samples};
 use crate::sink::SampleSink;
 use crate::virt::VirtPlatform;
 use crate::workload::{bootstrap, World};
 use cloudchar_analysis::Resource;
 use cloudchar_hw::ServerSpec;
-use cloudchar_monitor::{catalog, ChunkWriter, FaultSummary, SeriesStore, Source};
+use cloudchar_monitor::{ChunkWriter, FaultSummary, SeriesStore};
 use cloudchar_rubis::{ClientCohort, Database, MySqlServer, WebAppServer};
 use cloudchar_simcore::{audit, Engine, SimRng};
 use serde::{Deserialize, Serialize};
@@ -233,76 +234,48 @@ fn finalize(cfg: ExperimentConfig, engine: Engine<World>, world: World) -> Exper
 }
 
 impl ExperimentResult {
-    /// The sysstat plane a host reports through.
-    fn sysstat_source(&self, host: &str) -> Source {
-        if host.ends_with("-vm") {
-            Source::VmSysstat
-        } else {
-            Source::HypervisorSysstat
+    /// This run's resident samples, read through the interface the
+    /// on-disk trace shares.
+    pub fn samples(&self) -> Samples<'_> {
+        Samples::Resident {
+            hosts: &self.hosts,
+            store: &self.store,
         }
-    }
-
-    fn sysstat_series(&self, host: &str, name: &str) -> Vec<f64> {
-        let source = self.sysstat_source(host);
-        let id = catalog()
-            .find(name, source)
-            .unwrap_or_else(|| panic!("metric {name} not in catalog"));
-        self.store
-            .get(host, id)
-            .map(|s| s.values.clone())
-            .unwrap_or_default()
-    }
-
-    fn perf_series(&self, host: &str, name: &str) -> Vec<f64> {
-        let id = catalog()
-            .find(name, Source::PerfCounter)
-            .unwrap_or_else(|| panic!("perf metric {name} not in catalog"));
-        self.store
-            .get(host, id)
-            .map(|s| s.values.clone())
-            .unwrap_or_default()
     }
 
     /// CPU cycles per sample (the y-axis of Figures 1 and 5).
     pub fn cpu_cycles(&self, host: &str) -> Vec<f64> {
-        self.perf_series(host, "cycles")
+        self.resource_series(Resource::Cpu, host)
     }
 
     /// Used memory in MB per sample (Figures 2 and 6).
     pub fn ram_mb(&self, host: &str) -> Vec<f64> {
-        self.sysstat_series(host, "kbmemused")
-            .into_iter()
-            .map(|kb| kb / 1024.0)
-            .collect()
+        self.resource_series(Resource::Ram, host)
     }
 
     /// Disk read+write KB per sample (Figures 3 and 7).
     pub fn disk_kb(&self, host: &str) -> Vec<f64> {
-        let dt = self.config.sample_interval.as_secs_f64();
-        let read = self.sysstat_series(host, "bread/s");
-        let write = self.sysstat_series(host, "bwrtn/s");
-        read.iter()
-            .zip(&write)
-            .map(|(r, w)| (r + w) * 512.0 * dt / 1024.0)
-            .collect()
+        self.resource_series(Resource::Disk, host)
     }
 
     /// Network rx+tx KB per sample (Figures 4 and 8).
     pub fn net_kb(&self, host: &str) -> Vec<f64> {
-        let dt = self.config.sample_interval.as_secs_f64();
-        let rx = self.sysstat_series(host, "eth0-rxkB/s");
-        let tx = self.sysstat_series(host, "eth0-txkB/s");
-        rx.iter().zip(&tx).map(|(r, t)| (r + t) * dt).collect()
+        self.resource_series(Resource::Net, host)
     }
 
-    /// Demand series of one resource on one host, in the figures' units.
+    /// Demand series of one resource on one host, in the figures' units:
+    /// the [`ResourceCursor`] over the resident store, collected. Empty
+    /// when the host lacks a contributing series.
     pub fn resource_series(&self, resource: Resource, host: &str) -> Vec<f64> {
-        match resource {
-            Resource::Cpu => self.cpu_cycles(host),
-            Resource::Ram => self.ram_mb(host),
-            Resource::Disk => self.disk_kb(host),
-            Resource::Net => self.net_kb(host),
+        let dt = self.config.sample_interval.as_secs_f64();
+        let mut out = Vec::new();
+        // Resident chunks are borrowed slices, so no read can fail.
+        if let Ok(mut cur) = ResourceCursor::new(&self.samples(), resource, host, dt) {
+            while let Ok(Some(v)) = cur.next_value() {
+                out.push(v);
+            }
         }
+        out
     }
 
     /// Front-end host label (web tier).

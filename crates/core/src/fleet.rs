@@ -37,6 +37,7 @@ use crate::config::ExperimentConfig;
 use crate::experiment::build_world;
 use crate::faults::install_plan;
 use crate::online::{OnlineBank, OnlineReport};
+use crate::samples::{fnv, Samples, FNV_OFFSET};
 use crate::sink::SampleSink;
 use crate::workload::{admit, install_ticks, World};
 use cloudchar_monitor::{ChunkWriter, SeriesStore};
@@ -182,39 +183,37 @@ impl FleetResult {
     /// FNV-1a fold over every sampled series plus the client-side
     /// counters — the replay fingerprint the differential tests pin.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for (_, _, series) in self.store.iter() {
-            for &v in &series.values {
-                h ^= v.to_bits();
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        }
+        let samples = Samples::Resident {
+            hosts: &[],
+            store: &self.store,
+        };
+        // Resident chunks are borrowed slices, so no read can fail.
+        let h = samples.fold_values(FNV_OFFSET).unwrap_or_default();
         self.counter_fingerprint(h)
     }
 
     /// Continue the replay fingerprint from `h` — the FNV fold of the
-    /// sampled series (what [`FleetResult::fingerprint`] computes from
-    /// `store`, or `TraceDir::fold_values` streams off disk for a
-    /// traced run) — over the client-side counters.
+    /// sampled series ([`Samples::fold_values`], over `store` or a
+    /// traced run's `TraceDir`) — over the client-side counters.
     pub fn counter_fingerprint(&self, mut h: u64) -> u64 {
-        let mut fold = |bits: u64| {
-            h ^= bits;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        };
         for &a in &self.availability {
-            fold(a.to_bits());
+            h = fnv(h, a.to_bits());
         }
         for row in &self.ok_by_pod {
             for &n in row {
-                fold(n);
+                h = fnv(h, n);
             }
         }
-        fold(self.completed);
-        fold(self.failed);
-        fold(self.retries);
-        fold(self.abandons);
-        fold(self.response_time_mean_s.to_bits());
-        fold(self.response_time_max_s.to_bits());
+        for bits in [
+            self.completed,
+            self.failed,
+            self.retries,
+            self.abandons,
+            self.response_time_mean_s.to_bits(),
+            self.response_time_max_s.to_bits(),
+        ] {
+            h = fnv(h, bits);
+        }
         h
     }
 

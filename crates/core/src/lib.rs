@@ -24,6 +24,15 @@
 //! let web_cpu = result.cpu_cycles("web-vm");
 //! assert!(!web_cpu.is_empty());
 //! ```
+//!
+//! ## Resident or on-disk samples
+//!
+//! A run keeps its samples in a resident store or, with
+//! [`RunOptions::trace_out`], streams them to an on-disk [`TraceDir`].
+//! Analysis reads either through one interface, [`Samples`]
+//! ([`ExperimentResult::samples`] or [`Samples::Trace`]): the figure
+//! units ([`ResourceCursor`]), the figure CSVs, the full-catalog
+//! characterization and the fingerprint fold are written once over it.
 
 #![warn(missing_docs)]
 
@@ -38,6 +47,7 @@ pub mod online;
 pub mod phys;
 pub mod platform;
 pub mod report;
+pub mod samples;
 mod sink;
 pub mod sweep;
 pub mod trace;
@@ -61,9 +71,10 @@ pub use online::{OnlineBank, OnlineReport, OnlineSnapshot};
 pub use phys::{HostIoPolicy, PhysPlatform};
 pub use platform::{Platform, Tier, TierLoad};
 pub use report::{render_report, render_report_jobs, ReportInputs};
+pub use samples::{write_csv_streaming, Chunks, ResourceCursor, Samples, FNV_OFFSET};
 pub use sweep::{
     default_jobs, par_map_ordered_with, run_seeds, run_seeds_jobs, sweep_stat, SweepStat,
 };
-pub use trace::{full_characterize_trace, write_csv_streaming, ResourceCursor, TraceDir};
+pub use trace::{full_characterize_trace, TraceDir};
 pub use virt::{VirtOptions, VirtPlatform};
 pub use workload::World;

@@ -213,20 +213,12 @@ impl OnlineBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cloudchar_monitor::{catalog, MetricId, Source};
 
     fn row_for(host: &str, cycles: f64, ram_kb: f64) -> SampleRow {
-        let source = if host.ends_with("-vm") {
-            Source::VmSysstat
-        } else {
-            Source::HypervisorSysstat
-        };
-        let find = |name: &str, s: Source| -> MetricId {
-            catalog().find(name, s).expect("pinned catalog metric")
-        };
+        let tap = ResourceTap::new(host, 2.0).expect("pinned catalog metrics");
         let mut row = SampleRow::new();
-        row.push(find("cycles", Source::PerfCounter), cycles);
-        row.push(find("kbmemused", source), ram_kb);
+        row.push(tap.inputs(0).0, cycles);
+        row.push(tap.inputs(1).0, ram_kb);
         row
     }
 

@@ -153,8 +153,13 @@ pub const SHARD_LOGIC_FILES: [&str; 4] = [
 
 /// Files on the out-of-core streaming path, which must keep memory
 /// bounded by the chunk size (CL014): no whole-series materialization.
-pub const STREAMING_PATH_FILES: [&str; 2] =
-    ["crates/monitor/src/chunk.rs", "crates/core/src/trace.rs"];
+/// `core/samples.rs` holds the consumers shared by the resident and the
+/// on-disk backing, so it is held to the on-disk bound.
+pub const STREAMING_PATH_FILES: [&str; 3] = [
+    "crates/monitor/src/chunk.rs",
+    "crates/core/src/trace.rs",
+    "crates/core/src/samples.rs",
+];
 
 /// Files on the per-tick online-profiling path, which must stay
 /// incremental (CL015): no batch-recompute entry points — the batch

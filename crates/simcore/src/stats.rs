@@ -145,41 +145,43 @@ pub struct Moments {
 }
 
 impl Moments {
+    /// No observations yet: the starting point of [`Moments::push`].
+    pub const EMPTY: Moments = Moments {
+        count: 0,
+        mean: 0.0,
+        m2: 0.0,
+        sum: 0.0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        all_finite: true,
+    };
+
     /// Compute the moments of `xs` in one pass.
     pub fn of(xs: &[f64]) -> Self {
-        let mut count = 0usize;
-        let mut mean = 0.0;
-        let mut m2 = 0.0;
-        let mut sum = 0.0;
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut all_finite = true;
+        let mut m = Moments::EMPTY;
         for &x in xs {
-            count += 1;
-            let delta = x - mean;
-            mean += delta / count as f64;
-            m2 += delta * (x - mean);
-            sum += x;
-            if x < min {
-                min = x;
-            }
-            if x > max {
-                max = x;
-            }
-            all_finite &= x.is_finite();
+            m.push(x);
         }
-        if count == 0 {
-            mean = 0.0;
+        m
+    }
+
+    /// Fold one observation in (Welford's update), for streams that
+    /// never hold the whole series; pushing every element of `xs` gives
+    /// exactly [`Moments::of`]`(xs)`.
+    #[inline]
+    pub fn push(&mut self, x: f64) {
+        self.count += 1;
+        let delta = x - self.mean;
+        self.mean += delta / self.count as f64;
+        self.m2 += delta * (x - self.mean);
+        self.sum += x;
+        if x < self.min {
+            self.min = x;
         }
-        Moments {
-            count,
-            mean,
-            m2,
-            sum,
-            min,
-            max,
-            all_finite,
+        if x > self.max {
+            self.max = x;
         }
+        self.all_finite &= x.is_finite();
     }
 
     /// Population variance (0 when fewer than 2 observations).

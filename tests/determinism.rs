@@ -2,6 +2,10 @@
 //! bit-identical results across the whole stack; different seeds must
 //! diverge; results must be robust to seed choice.
 
+mod common;
+
+use common::fingerprint;
+
 use cloudchar_core::{run, Deployment, ExperimentConfig, ExperimentResult};
 use cloudchar_monitor::{catalog, Source};
 use cloudchar_rubis::WorkloadMix;
@@ -12,23 +16,6 @@ fn cfg(seed: u64) -> ExperimentConfig {
     c
 }
 
-/// Hash every sampled series of a result.
-fn fingerprint(r: &ExperimentResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let c = catalog();
-    for host in &r.hosts {
-        for id in c.ids() {
-            if let Some(s) = r.store.get(host, id) {
-                for &v in &s.values {
-                    h ^= v.to_bits();
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
-}
-
 #[test]
 fn identical_seed_identical_everything() {
     let a = run(cfg(1234));
@@ -36,14 +23,20 @@ fn identical_seed_identical_everything() {
     assert_eq!(a.completed, b.completed);
     assert_eq!(a.events, b.events);
     assert_eq!(a.response_time_mean_s, b.response_time_mean_s);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(
+        fingerprint(&a.hosts, &a.store),
+        fingerprint(&b.hosts, &b.store)
+    );
 }
 
 #[test]
 fn different_seed_different_fingerprint() {
     let a = run(cfg(1));
     let b = run(cfg(2));
-    assert_ne!(fingerprint(&a), fingerprint(&b));
+    assert_ne!(
+        fingerprint(&a.hosts, &a.store),
+        fingerprint(&b.hosts, &b.store)
+    );
     // But the workload level should be comparable (same closed
     // population): completions within 10%.
     let ratio = a.completed as f64 / b.completed as f64;
@@ -81,7 +74,10 @@ fn deterministic_across_deployments_independently() {
         Deployment::NonVirtualized,
         WorkloadMix::BIDDING,
     ));
-    assert_eq!(fingerprint(&p1), fingerprint(&p2));
+    assert_eq!(
+        fingerprint(&p1.hosts, &p1.store),
+        fingerprint(&p2.hosts, &p2.store)
+    );
 }
 
 #[test]
@@ -123,7 +119,7 @@ fn golden_replay_fingerprint_unchanged() {
         c.seed = 777;
         let r = run(c);
         assert_eq!(
-            fingerprint(&r),
+            fingerprint(&r.hosts, &r.store),
             golden,
             "{deployment:?}: result diverged from the pre-refactor golden hash"
         );

@@ -11,29 +11,15 @@
 //! 3. a 10k-client fault scenario showing the availability dip and
 //!    recovery survive the columnar retry/backoff/abandon paths.
 
+mod common;
+
+use common::fingerprint;
+
 use cloudchar_core::{
-    run, run_seeds_jobs, scenario, scenario_report, Deployment, ExperimentConfig, ExperimentResult,
+    run, run_seeds_jobs, scenario, scenario_report, Deployment, ExperimentConfig,
 };
-use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
 use cloudchar_simcore::SimDuration;
-
-/// Hash every sampled series of a result (the determinism-suite FNV).
-fn fingerprint(r: &ExperimentResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let c = catalog();
-    for host in &r.hosts {
-        for id in c.ids() {
-            if let Some(s) = r.store.get(host, id) {
-                for &v in &s.values {
-                    h ^= v.to_bits();
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
-}
 
 /// The fleet base: virtualized 70% browsing at seed 777, scaled by
 /// client count. Duration shrinks as the population grows so every
@@ -59,7 +45,7 @@ fn kilo_client_cohort_matches_pre_cohort_fingerprint() {
     cfg.clients = 1000;
     let r = run(cfg);
     assert_eq!(
-        fingerprint(&r),
+        fingerprint(&r.hosts, &r.store),
         0xd483_243b_663e_e2ff,
         "1000-client cohort run diverged from the per-client golden hash"
     );
@@ -77,8 +63,14 @@ fn hundred_k_smoke_is_worker_pool_invariant_and_pinned() {
     let seeds = [777_u64, 778];
     let serial = run_seeds_jobs(&base, &seeds, 1);
     let pooled = run_seeds_jobs(&base, &seeds, 2);
-    let fp_serial: Vec<u64> = serial.iter().map(fingerprint).collect();
-    let fp_pooled: Vec<u64> = pooled.iter().map(fingerprint).collect();
+    let fp_serial: Vec<u64> = serial
+        .iter()
+        .map(|r| fingerprint(&r.hosts, &r.store))
+        .collect();
+    let fp_pooled: Vec<u64> = pooled
+        .iter()
+        .map(|r| fingerprint(&r.hosts, &r.store))
+        .collect();
     assert_eq!(fp_serial, fp_pooled, "fingerprints depend on --jobs");
     assert_eq!(
         fp_serial[0], 0xd433_8962_c34f_5961,

@@ -9,11 +9,14 @@
 //! domain is down and recovers fully after reboot, without invalidating
 //! the R-claim signs outside the fault window.
 
+mod common;
+
+use common::fingerprint;
+
 use cloudchar_core::{
     run, run_fleet, run_opts, run_seeds_jobs, scenario, scenario_report, Deployment,
-    ExperimentConfig, ExperimentResult, FleetConfig, RunOptions, SCENARIOS,
+    ExperimentConfig, FleetConfig, RunOptions, SCENARIOS,
 };
-use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
 use cloudchar_simcore::{FaultPlan, RunMode, SimDuration};
 
@@ -25,32 +28,14 @@ fn faulted_cfg(name: &str, seed: u64) -> ExperimentConfig {
     c
 }
 
-/// Hash every sampled series of a result (same FNV fold as the
-/// determinism suite).
-fn fingerprint(r: &ExperimentResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let c = catalog();
-    for host in &r.hosts {
-        for id in c.ids() {
-            if let Some(s) = r.store.get(host, id) {
-                for &v in &s.values {
-                    h ^= v.to_bits();
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
-}
-
 #[test]
 fn every_scenario_replays_byte_identically() {
     for name in SCENARIOS {
         let a = run(faulted_cfg(name, 4242));
         let b = run(faulted_cfg(name, 4242));
         assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
+            fingerprint(&a.hosts, &a.store),
+            fingerprint(&b.hosts, &b.store),
             "{name}: replay fingerprints diverged"
         );
         let bytes_a = serde_json::to_vec(&a.store).expect("store serializes");
@@ -72,8 +57,8 @@ fn scenario_sweep_is_worker_pool_invariant() {
     assert_eq!(serial.len(), pooled.len());
     for (i, (s, p)) in serial.iter().zip(&pooled).enumerate() {
         assert_eq!(
-            fingerprint(s),
-            fingerprint(p),
+            fingerprint(&s.hosts, &s.store),
+            fingerprint(&p.hosts, &p.store),
             "seed {}: jobs=1 vs jobs=4 diverged",
             seeds[i]
         );
@@ -161,8 +146,8 @@ fn scenarios_pin_identical_envelopes_across_run_entries() {
         let plain = run(faulted_cfg(name, 42));
         let (observed, _) = run_opts(faulted_cfg(name, 42), &opts).expect("untraced run");
         assert_eq!(
-            fingerprint(&plain),
-            fingerprint(&observed),
+            fingerprint(&plain.hosts, &plain.store),
+            fingerprint(&observed.hosts, &observed.store),
             "{name}: run_opts diverged from run"
         );
         assert_eq!(plain.faults, observed.faults, "{name}: fault summaries");
@@ -244,7 +229,10 @@ fn empty_plan_leaves_the_run_untouched() {
     let baseline = ExperimentConfig::fast(Deployment::Virtualized, WorkloadMix::BROWSING);
     let a = run(with_empty);
     let b = run(baseline);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_eq!(
+        fingerprint(&a.hosts, &a.store),
+        fingerprint(&b.hosts, &b.store)
+    );
     assert_eq!(a.events, b.events, "empty plan scheduled extra events");
     assert!(a.faults.is_none(), "empty plan produced a fault summary");
 }

@@ -10,31 +10,17 @@
 //! fingerprints and runner counters, with and without a fault plan on
 //! pod 0.
 
+mod common;
+
+use common::fingerprint;
+
 use cloudchar_analysis::Resource;
 use cloudchar_core::{
     run, run_fleet, run_opts, scenario, scenario_report, Deployment, ExperimentConfig,
     ExperimentResult, FleetConfig, RunOptions,
 };
-use cloudchar_monitor::catalog;
 use cloudchar_rubis::WorkloadMix;
 use cloudchar_simcore::{RunMode, SimDuration};
-
-/// Hash every sampled series of a result (the determinism-suite FNV).
-fn fingerprint(r: &ExperimentResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let c = catalog();
-    for host in &r.hosts {
-        for id in c.ids() {
-            if let Some(s) = r.store.get(host, id) {
-                for &v in &s.values {
-                    h ^= v.to_bits();
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
-}
 
 /// Hash the bytes of every virtualized figure CSV (figs 1–4: one
 /// resource each, three hosts per figure), rendered exactly as
@@ -77,10 +63,10 @@ fn run_observed(cfg: ExperimentConfig) -> ExperimentResult {
 fn assert_equivalent(label: &str, mk: impl Fn() -> ExperimentConfig) -> u64 {
     let plain = run(mk());
     let observed = run_observed(mk());
-    let fp = fingerprint(&plain);
+    let fp = fingerprint(&plain.hosts, &plain.store);
     assert_eq!(
         fp,
-        fingerprint(&observed),
+        fingerprint(&observed.hosts, &observed.store),
         "{label}: online profiling perturbed the sampled series"
     );
     assert_eq!(

@@ -6,10 +6,14 @@
 //! golden fingerprints the resident store is pinned against, and a
 //! truncated file must fail loudly instead of decoding a short series.
 
+mod common;
+
+use common::fingerprint;
+
 use cloudchar_core::{
     full_characterize, full_characterize_trace, run, run_fleet, run_fleet_opts, run_opts,
     write_csv_streaming, Deployment, ExperimentConfig, ExperimentResult, FleetConfig,
-    ResourceCursor, RunOptions, TraceDir,
+    ResourceCursor, RunOptions, Samples, TraceDir,
 };
 use cloudchar_monitor::chunk::{read_store, write_store};
 use cloudchar_monitor::{catalog, ChunkReader, ChunkWriter, SeriesStore, CHUNK_SAMPLES};
@@ -33,25 +37,6 @@ fn traced_run(cfg: ExperimentConfig, path: &std::path::Path) -> std::io::Result<
         ..RunOptions::default()
     };
     run_opts(cfg, &opts).map(|(r, _)| r)
-}
-
-/// The determinism-suite FNV fold, over an explicit host list in
-/// presentation order (traced results carry an empty resident store, so
-/// the read-back store is folded with the run's own host order).
-fn fingerprint_store(hosts: &[String], store: &SeriesStore) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let c = catalog();
-    for host in hosts {
-        for id in c.ids() {
-            if let Some(s) = store.get(host, id) {
-                for &v in &s.values {
-                    h ^= v.to_bits();
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
-            }
-        }
-    }
-    h
 }
 
 /// Both stores must hold the same series with bit-identical samples.
@@ -93,7 +78,7 @@ fn traced_kilo_client_run_matches_golden_fingerprint() {
     assert_eq!(traced.completed, 15013, "completion count drifted");
     let store = read_store(&path).expect("read trace back");
     assert_eq!(
-        fingerprint_store(&traced.hosts, &store),
+        fingerprint(&traced.hosts, &store),
         0xd483_243b_663e_e2ff,
         "traced 1000-client run diverged from the golden hash"
     );
@@ -119,7 +104,7 @@ fn traced_hundred_k_run_matches_golden_fingerprint() {
     assert_eq!(traced.completed, 12752, "completion count drifted");
     let store = read_store(&path).expect("read trace back");
     assert_eq!(
-        fingerprint_store(&traced.hosts, &store),
+        fingerprint(&traced.hosts, &store),
         0xd433_8962_c34f_5961,
         "traced 100k-client run diverged from the golden hash"
     );
@@ -170,8 +155,8 @@ fn streamed_fig_csvs_are_byte_identical() {
             }
             let out = tmp("fig_stream.csv");
             let mut cols = [
-                ResourceCursor::new(&bt, res, host, 2.0).expect("browse cursor"),
-                ResourceCursor::new(&qt, res, host, 2.0).expect("bid cursor"),
+                ResourceCursor::new(&Samples::Trace(&bt), res, host, 2.0).expect("browse cursor"),
+                ResourceCursor::new(&Samples::Trace(&qt), res, host, 2.0).expect("bid cursor"),
             ];
             write_csv_streaming(&out, "t_s,browse,bid", &mut cols, 2.0).expect("stream csv");
             let got = std::fs::read(&out).expect("read streamed csv");
